@@ -61,9 +61,10 @@ BiasResult run(bool jitter) {
   ev->flush_aux(0);
 
   std::array<std::uint64_t, kSites> per_site{};
-  nmo::spe::AuxConsumer consumer([&](const nmo::spe::Record& r, nmo::CoreId) {
-    per_site[(r.pc - 0x400000) / 4 % kSites]++;
-  });
+  nmo::spe::AuxConsumer consumer(
+      [&](std::span<const nmo::spe::Record> records, nmo::CoreId) {
+        for (const auto& r : records) per_site[(r.pc - 0x400000) / 4 % kSites]++;
+      });
   consumer.drain(*ev);
 
   BiasResult res;

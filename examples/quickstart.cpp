@@ -18,9 +18,8 @@ int main() {
   nmo::core::NmoConfig config = nmo::core::NmoConfig::from_env(nmo::Env{});
   if (!config.enable) {
     // The default demo uses a short period and small aux buffers so the
-    // run crosses aux watermarks and the monitor's drain rounds (and the
-    // async pipeline's epochs, step 6) are visible in a few milliseconds
-    // of simulated time.
+    // run crosses aux watermarks and the monitor's drain rounds are
+    // visible in a few milliseconds of simulated time.
     std::printf("NMO_ENABLE not set - using built-in defaults "
                 "(NMO_ENABLE=1 NMO_MODE=all NMO_PERIOD=256 NMO_AUXBUFSIZE=262144)\n");
     config.enable = true;
@@ -71,8 +70,8 @@ int main() {
   std::printf("\nSanity: STREAM still computed the right answer: a[0] = %.4f (expect %.4f)\n",
               stream.a()[0], nmo::wl::Stream::expected_a(scfg.iterations, scfg.scalar));
 
-  // 5. The parallel decode pipeline (spe/decode_pool.hpp) must reproduce
-  //    the serial trace bit-for-bit: same samples, same canonical order,
+  // 5. Sharded decode (spe/decode_pool.hpp) must reproduce the inline
+  //    (one-shard) trace bit-for-bit: same samples, same canonical order,
   //    same MD5 fingerprint.
   engine.decode_shards = 4;
   nmo::wl::Stream stream_par(scfg);
@@ -85,25 +84,7 @@ int main() {
   std::printf("decode backpressure : %llu producer queue-full spins\n",
               static_cast<unsigned long long>(report_par.decode_stalls));
 
-  // 6. The async drain pipeline (sim/drain_service.hpp): the monitor hands
-  //    each drain round to a dedicated consumer thread as an epoch instead
-  //    of ending the round in a fork/join barrier.  The drain schedule is
-  //    mode-invariant, so this too must reproduce the serial trace
-  //    bit-for-bit while the overlap telemetry shows what the consumer
-  //    thread absorbed.
-  engine.async_drain = true;
-  nmo::wl::Stream stream_async(scfg);
-  nmo::core::ProfileSession session_async(config, engine);
-  const auto report_async = session_async.profile(stream_async, /*with_baseline=*/false);
-  const std::string async_md5 = session_async.profiler().trace().fingerprint();
-  std::printf("async drain (4 shards) fingerprint    : %s -> %s\n", async_md5.c_str(),
-              async_md5 == serial_md5 ? "matches serial" : "MISMATCH");
-  std::printf("drain/decode overlap: %llu cycles over %llu epochs (peak lag %llu)\n",
-              static_cast<unsigned long long>(report_async.overlapped_cycles),
-              static_cast<unsigned long long>(report_async.retired_epochs),
-              static_cast<unsigned long long>(report_async.peak_epoch_lag));
-
-  // 7. Topology-aware placement (sys/topology.hpp): pin each decode shard
+  // 6. Topology-aware placement (sys/topology.hpp): pin each decode shard
   //    near its producer cores on a modeled 2-socket machine.  Placement
   //    only moves threads - the trace stays bit-for-bit identical, while
   //    the remote-drain telemetry shows the cross-socket traffic avoided.
@@ -124,8 +105,5 @@ int main() {
               static_cast<unsigned long long>(report_pinned.local_drain_bytes +
                                               report_pinned.remote_drain_bytes),
               report_pinned.placement_nodes);
-  return parallel_md5 == serial_md5 && async_md5 == serial_md5 &&
-                 pinned_md5 == serial_md5
-             ? 0
-             : 1;
+  return parallel_md5 == serial_md5 && pinned_md5 == serial_md5 ? 0 : 1;
 }

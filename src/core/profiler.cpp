@@ -40,11 +40,6 @@ void Profiler::on_sample(const spe::Record& rec, CoreId core) {
   trace_.add(convert(rec, core));
 }
 
-void Profiler::on_sample_batch(std::span<const spe::Record> records, CoreId core) {
-  if (!has_mode(config_.mode, Mode::kSample)) return;
-  for (const spe::Record& rec : records) trace_.add(convert(rec, core));
-}
-
 void Profiler::bind_trace_shards(std::uint32_t n) {
   trace_shards_.assign(n, SampleTrace{});
 }
@@ -59,7 +54,12 @@ spe::DecodePool::BatchSink Profiler::make_shard_sink() {
 
 void Profiler::finalize_trace() {
   for (auto& shard : trace_shards_) {
-    trace_.append(shard);
+    if (trace_.empty()) {
+      // Steal the buffer: a single-shard run never holds two copies.
+      trace_ = std::move(shard);
+    } else {
+      trace_.append(shard);
+    }
     shard.clear();
   }
   trace_.sort_canonical();

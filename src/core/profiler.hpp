@@ -19,7 +19,6 @@
 #include "core/regions.hpp"
 #include "core/trace.hpp"
 #include "kernel/timeconv.hpp"
-#include "spe/aux_consumer.hpp"
 #include "spe/decode_pool.hpp"
 
 namespace nmo::core {
@@ -35,35 +34,21 @@ class Profiler {
   /// metadata page, section IV-A).
   void set_time_conv(const kern::TimeConv& conv) { time_conv_ = conv; }
 
-  /// Installed by the async drain pipeline (sim/drain_service.hpp): called
-  /// before any region-table mutation so in-flight decode - which reads
-  /// the table for attribution, possibly on another thread - retires
-  /// first.  This keeps async region attribution byte-identical to the
-  /// synchronous path, where decode always completes inside the drain
-  /// round that preceded the mutation.
-  void set_quiesce(std::function<void()> quiesce) { quiesce_ = std::move(quiesce); }
-
-  /// Sink logic for spe::AuxConsumer: converts timestamps, attributes
-  /// regions, appends to the trace.
+  /// Converts one decoded sample (timestamp, region attribution) and
+  /// appends it to the trace directly.
   void on_sample(const spe::Record& rec, CoreId core);
 
-  /// Batched variant of on_sample: one call per decoded record batch.
-  void on_sample_batch(std::span<const spe::Record> records, CoreId core);
-  [[nodiscard]] spe::AuxConsumer::BatchSink make_batch_sink() {
-    return [this](std::span<const spe::Record> r, CoreId c) { on_sample_batch(r, c); };
-  }
-
-  // -- sharded collection (parallel decode pipeline) --------------------------
+  // -- sharded collection (spe::DecodePool) -----------------------------------
   /// Creates `n` per-shard traces for a spe::DecodePool with `n` shards.
   void bind_trace_shards(std::uint32_t n);
-  /// Sink for spe::DecodePool workers: each shard appends only to its own
-  /// trace, so no locking is needed.  Requires bind_trace_shards(n) first.
+  /// Sink for spe::DecodePool: each shard appends only to its own trace,
+  /// so no locking is needed.  Requires bind_trace_shards(n) first.
   [[nodiscard]] spe::DecodePool::BatchSink make_shard_sink();
-  [[nodiscard]] bool sharded() const { return !trace_shards_.empty(); }
 
-  /// Finalizes the trace: merges any shard traces into the main one and
-  /// sorts into the canonical order (core/trace.hpp), so the serial and the
-  /// sharded decode paths emit byte-identical CSV and MD5 fingerprints.
+  /// Finalizes the trace: merges the shard traces into the main one (a
+  /// lone shard is moved, not copied) and sorts into the canonical order
+  /// (core/trace.hpp), so every shard count emits byte-identical CSV and
+  /// MD5 fingerprints.
   void finalize_trace();
 
   /// Periodic tick with cumulative machine counters.
@@ -71,17 +56,10 @@ class Profiler {
 
   // -- annotation API (routed from core/nmo.h) --------------------------------
   void tag_addr(std::string_view name, Addr start, Addr end) {
-    quiesce();
     regions_.tag_addr(name, start, end);
   }
-  void phase_start(std::string_view name) {
-    quiesce();
-    regions_.phase_start(name, now());
-  }
-  void phase_stop() {
-    quiesce();
-    regions_.phase_stop(now());
-  }
+  void phase_start(std::string_view name) { regions_.phase_start(name, now()); }
+  void phase_stop() { regions_.phase_stop(now()); }
   void note_alloc(std::uint64_t bytes) {
     if (has_mode(config_.mode, Mode::kCapacity)) capacity_.on_alloc(bytes, now());
   }
@@ -101,13 +79,8 @@ class Profiler {
  private:
   [[nodiscard]] TraceSample convert(const spe::Record& rec, CoreId core) const;
 
-  void quiesce() {
-    if (quiesce_) quiesce_();
-  }
-
   NmoConfig config_;
   std::function<std::uint64_t()> now_ns_;
-  std::function<void()> quiesce_;
   kern::TimeConv time_conv_ = kern::TimeConv::from_frequency(1e9);
   RegionTable regions_;
   SampleTrace trace_;

@@ -70,10 +70,6 @@ SessionReport ProfileSession::profile(wl::Workload& workload, bool with_baseline
   report.dropped_full = stats.dropped_full;
   report.wakeups = stats.wakeups;
   report.decode_stalls = stats.decode_stalls;
-  report.overlapped_cycles = stats.overlapped_cycles;
-  report.retired_epochs = stats.retired_epochs;
-  report.peak_epoch_lag = stats.peak_epoch_lag;
-  report.epoch_wait_cycles = stats.epoch_wait_cycles;
   report.local_drain_bytes = stats.local_drain_bytes;
   report.remote_drain_bytes = stats.remote_drain_bytes;
   report.remote_drain_cycles = stats.remote_drain_cycles;

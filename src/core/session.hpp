@@ -57,12 +57,6 @@ struct SessionReport {
   std::uint64_t dropped_full = 0;
   std::uint64_t wakeups = 0;
   std::uint64_t decode_stalls = 0;  ///< Decode-pool backpressure (queue-full spins).
-  // Async drain pipeline overlap telemetry (zero unless
-  // sim::EngineConfig::async_drain was on).
-  std::uint64_t overlapped_cycles = 0;  ///< Decode retired in the timeline's shadow.
-  std::uint64_t retired_epochs = 0;     ///< Drain epochs whose decode retired.
-  std::uint64_t peak_epoch_lag = 0;     ///< Max unretired epochs at a drain point.
-  std::uint64_t epoch_wait_cycles = 0;  ///< Modeled consumer-thread backlog lag.
 
   // Topology placement telemetry (sim::EngineStats; zero on single-socket
   // machines).  Telemetry only: placement never changes the trace.

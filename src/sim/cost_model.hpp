@@ -54,28 +54,13 @@ struct CostModel {
   /// thread dome.
   Cycles monitor_round_interval_cycles = 300'000'000;  // ~100 ms at 3 GHz
 
-  // -- async drain pipeline (sim/drain_service.hpp) --------------------------
-  // Overlap parameters of the staged producer/consumer monitor: with
-  // EngineConfig/SweepConfig::async_drain the per-round decode work retires
-  // on a dedicated consumer thread instead of serializing the round.  The
-  // drain *schedule* (and therefore every device-visible drain time) is
-  // deliberately mode-invariant - that is what keeps the sync and async
-  // paths byte-identical - so these parameters feed the overlap telemetry
-  // (overlapped cycles, epoch lag, retirement) rather than the timeline.
-  /// Consumer-thread wake latency: queue handoff + futex wake before the
-  /// drain service starts decoding an epoch.
-  Cycles drain_wake_cycles = 15'000;  // ~5 us
-  /// Per-epoch retirement cost: completion-cursor publication and counts
-  /// folding once an epoch's last batch decodes.
-  Cycles epoch_retire_cycles = 3'000;
-
   // -- topology / remote drain (multi-socket model) --------------------------
   // Placement parameters of the multi-socket machine (MachineConfig::
-  // sockets).  Like the async-drain overlap costs above, the remote-drain
-  // penalty is *telemetry only*: it quantifies the cross-socket traffic a
-  // given DecodePool placement policy would cost (sim/monitor.hpp
-  // MonitorPlacement) but never feeds the drain schedule or the timeline -
-  // that invariant is what keeps pinned and unpinned runs byte-identical.
+  // sockets).  The remote-drain penalty is *telemetry only*: it quantifies
+  // the cross-socket traffic a given DecodePool placement policy would cost
+  // (sim/monitor.hpp MonitorPlacement) but never feeds the drain schedule
+  // or the timeline - that invariant is what keeps pinned and unpinned runs
+  // byte-identical.
   /// Extra per-byte cost of consuming aux data whose producer core lives
   /// on a different socket than the decode shard draining it (interconnect
   /// hop + remote DRAM read; roughly 2x the local per-byte decode cost).

@@ -70,33 +70,17 @@ TraceEngine::TraceEngine(const EngineConfig& config, core::Profiler* profiler)
     spe::PlacementOptions placement;
     placement.policy = config_.decode_placement;
     placement.topology = config_.topology.empty() ? machine_->topology() : config_.topology;
-    if (config_.decode_shards > 1) {
-      // Parallel decode pipeline: raw record batches fan out to shard
-      // workers that decode into per-shard traces, merged canonically at
-      // finalize.
-      profiler_->bind_trace_shards(config_.decode_shards);
-      decode_pool_ = std::make_unique<spe::DecodePool>(
-          config_.decode_shards, profiler_->make_shard_sink(), 256, placement);
-      consumer_ = std::make_unique<spe::AuxConsumer>(decode_pool_.get());
-    } else {
-      consumer_ = std::make_unique<spe::AuxConsumer>(profiler_->make_batch_sink());
-    }
+    // Shard traces are merged canonically at finalize.
+    const std::uint32_t shards = std::max(1u, config_.decode_shards);
+    profiler_->bind_trace_shards(shards);
+    decode_pool_ = std::make_unique<spe::DecodePool>(shards, profiler_->make_shard_sink(), 256,
+                                                     placement);
+    consumer_ = std::make_unique<spe::AuxConsumer>(decode_pool_.get());
     if (config_.decode_progress) consumer_->set_progress_hook(config_.decode_progress);
-    if (config_.async_drain) {
-      // Staged pipeline: the dedicated consumer thread runs stage-2 decode
-      // so rounds no longer end in a fork/join barrier.  Region-table
-      // mutations quiesce the service first, so decode-time region
-      // attribution is identical to the synchronous path.
-      drain_service_ =
-          std::make_unique<DrainService>(consumer_.get(), decode_pool_.get(), placement);
-      profiler_->set_quiesce([service = drain_service_.get()] { service->barrier(); });
-    }
-    monitor_ = std::make_unique<Monitor>(machine_->cost(), consumer_.get(), events_,
-                                         drain_service_.get());
+    monitor_ = std::make_unique<Monitor>(machine_->cost(), consumer_.get(), events_);
     monitor_->set_budget(config_.budget);
     placement_topology_ = std::move(placement.topology);
-    monitor_->set_placement_model(&placement_topology_, config_.decode_placement,
-                                  std::max(1u, config_.decode_shards));
+    monitor_->set_placement_model(&placement_topology_, config_.decode_placement, shards);
     profiler_->set_time_conv(machine_->time_conv());
   }
   if (profiler_ != nullptr) {
@@ -346,14 +330,9 @@ void TraceEngine::finalize() {
     process_monitor_until(~Cycles{0} >> 1);
     monitor_->drain_all();
   }
-  if (profiler_ != nullptr && drain_service_ != nullptr) {
-    // The service is quiescent after drain_all; drop the quiesce hook so
-    // the profiler can outlive this engine safely.
-    profiler_->set_quiesce({});
-  }
   if (profiler_ != nullptr && consumer_ != nullptr) {
-    // Merge shard traces (parallel path) and canonicalize the order so the
-    // serial and parallel pipelines emit byte-identical CSV/fingerprints.
+    // Merge shard traces and canonicalize the order so every shard count
+    // emits byte-identical CSV/fingerprints.
     profiler_->finalize_trace();
   }
   if (profiler_ != nullptr && config_.tick_interval_ns != 0) {
@@ -383,11 +362,6 @@ EngineStats TraceEngine::stats() const {
     s.pinned_shards = decode_pool_->pinned_shards();
   }
   if (monitor_) {
-    const MonitorOverlap& overlap = monitor_->overlap();
-    s.overlapped_cycles = overlap.overlapped_cycles;
-    s.retired_epochs = overlap.retired_epochs;
-    s.peak_epoch_lag = overlap.peak_epoch_lag;
-    s.epoch_wait_cycles = overlap.epoch_wait_cycles;
     const MonitorPlacement& placement = monitor_->placement();
     s.local_drain_bytes = placement.local_bytes;
     s.remote_drain_bytes = placement.remote_bytes;

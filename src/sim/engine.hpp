@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "core/budget.hpp"
 #include "core/profiler.hpp"
-#include "sim/drain_service.hpp"
 #include "sim/machine.hpp"
 #include "sim/monitor.hpp"
 #include "spe/aux_consumer.hpp"
@@ -42,10 +41,10 @@ struct EngineConfig {
   std::uint64_t tick_interval_ns = 10'000'000;
   /// Same PMU population mismatch as the statistical driver.
   double pmu_overcount = 0.015;
-  /// Decode shards for the parallel SPE decode pipeline (spe/decode_pool).
-  /// <= 1 selects the serial inline decode path.  Any value produces
-  /// byte-identical traces: shard traces are merged canonically at
-  /// finalize (core/trace.hpp sort_canonical).
+  /// Decode shards of the run's spe::DecodePool; <= 1 decodes inline on
+  /// the timeline thread.  Any value produces byte-identical traces: shard
+  /// traces are merged canonically at finalize (core/trace.hpp
+  /// sort_canonical).
   std::uint32_t decode_shards = 1;
   /// Write-combining batch for Sampler aux writes (Sampler::set_write_batch).
   /// A conservative default keeps wakeup timing close to per-record writes
@@ -68,13 +67,6 @@ struct EngineConfig {
   /// advances.  The streaming-capture layer (net/block_sender.hpp) feeds
   /// its live heartbeats from this; empty costs nothing.
   std::function<void(std::uint64_t records_ok)> decode_progress;
-  /// Staged async drain pipeline (sim/drain_service.hpp): the monitor's
-  /// per-round decode runs on a dedicated consumer thread with epoch-based
-  /// completion instead of the round-end AuxConsumer::sync() fork/join, so
-  /// decode of round N overlaps the drain of round N+1.  The drain
-  /// schedule is mode-invariant, so the emitted trace is byte-identical to
-  /// the synchronous default; overlap telemetry lands in EngineStats.
-  bool async_drain = false;
   /// Cooperative preemption token (core/budget.hpp), or nullptr for an
   /// unlimited run.  The monitor polls it every drain round and the replay
   /// loop checks it between accesses; once tripped, the engine stops
@@ -95,20 +87,9 @@ struct EngineStats {
   std::uint64_t filtered = 0;
   std::uint64_t wakeups = 0;
   std::uint64_t instrumented_ns = 0;
-  /// Producer queue-full spins in the decode pool (0 on the serial path):
+  /// Producer queue-full spins in the decode pool (0 for an inline pool):
   /// the backpressure signal that decode shards bound the drain loop.
   std::uint64_t decode_stalls = 0;
-  // Async drain pipeline overlap telemetry (sim/monitor.hpp MonitorOverlap;
-  // all zero when async_drain is off).
-  /// Decode cycles retired on the consumer thread in the timeline's shadow.
-  std::uint64_t overlapped_cycles = 0;
-  /// Drain epochs whose decode retired.
-  std::uint64_t retired_epochs = 0;
-  /// Max drained-but-unretired epochs observed at any drain point.
-  std::uint64_t peak_epoch_lag = 0;
-  /// Cycles the modeled consumer thread lagged new epochs (its backlog had
-  /// not retired when the next round's chunks landed).
-  std::uint64_t epoch_wait_cycles = 0;
   // Streaming-capture telemetry (filled by store::run_sessions when the
   // job teed into a net::StreamingTraceSink; all zero/false otherwise).
   std::uint64_t stream_blocks_sent = 0;
@@ -182,9 +163,8 @@ class TraceEngine final : public wl::Executor {
 
   std::vector<std::unique_ptr<spe::Sampler>> samplers_;
   std::vector<kern::PerfEvent*> events_;
-  std::unique_ptr<spe::DecodePool> decode_pool_;  ///< Non-null when decode_shards > 1.
+  std::unique_ptr<spe::DecodePool> decode_pool_;  ///< Non-null when sampling.
   std::unique_ptr<spe::AuxConsumer> consumer_;
-  std::unique_ptr<DrainService> drain_service_;  ///< Non-null when async_drain.
   /// Topology the placement model classifies against (the monitor keeps a
   /// pointer into it for the lifetime of the run).
   sys::CpuTopology placement_topology_;

@@ -1,15 +1,12 @@
 #include "sim/monitor.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "sim/drain_service.hpp"
 
 namespace nmo::sim {
 
 Monitor::Monitor(const CostModel& cost, spe::AuxConsumer* consumer,
-                 std::vector<kern::PerfEvent*> events, DrainService* drain_service)
-    : cost_(cost), consumer_(consumer), drain_service_(drain_service) {
+                 std::vector<kern::PerfEvent*> events)
+    : cost_(cost), consumer_(consumer) {
   for (auto* ev : events) poller_.add(ev);
 }
 
@@ -21,13 +18,14 @@ std::optional<Cycles> Monitor::on_wakeup(Cycles now_cycles) {
   return start + round_cost();
 }
 
-std::uint64_t Monitor::drain_round() {
+void Monitor::drain_round() {
   // Ready-queue handoff: acknowledge every wakeup this round consumes in
   // one batch, then drain every fd (the monitor services its whole epoll
   // set per round - batched servicing is the round model's premise, and
   // it also picks up ring records like THROTTLE that never raise a
   // wakeup, which is why it does not restrict itself to the ready list).
   wakeups_acked_ += poller_.ack_ready();
+  chunks_scratch_.clear();
   std::uint64_t bytes = 0;
   for (auto* ev : poller_.events()) {
     const std::uint64_t ev_bytes = consumer_->drain_raw(*ev, chunks_scratch_);
@@ -35,8 +33,11 @@ std::uint64_t Monitor::drain_round() {
     bytes += ev_bytes;
   }
   bytes_drained_ += bytes;
-  return bytes;
+  // Fork/join: the pool decodes the whole round while the round is still
+  // "open" (inline pools decode right here on the timeline thread).
+  consumer_->decode_chunks(chunks_scratch_);
 }
+
 
 void Monitor::set_placement_model(const sys::CpuTopology* topology,
                                   spe::PlacementPolicy policy, std::uint32_t shards) {
@@ -77,25 +78,7 @@ std::optional<Cycles> Monitor::on_round_done(Cycles now_cycles) {
   // records are never discarded) - the *engine* observes the tripped token
   // and stops feeding new work, then finalizes a valid truncated trace.
   if (budget_ != nullptr) budget_->poll();
-  chunks_scratch_.clear();
-  const std::uint64_t round_bytes = drain_round();
-  if (drain_service_ != nullptr) {
-    // Staged pipeline: close the round as an epoch on the consumer
-    // thread's wakeup queue and keep the timeline moving.
-    retire_until(now_cycles);
-    if (!chunks_scratch_.empty()) {
-      drain_service_->submit_epoch(std::move(chunks_scratch_));
-      chunks_scratch_ = {};
-      note_epoch(now_cycles, round_bytes);
-    }
-  } else {
-    // Fork/join barrier of the parallel decode path: shard workers decode
-    // the whole round concurrently while the round is still "open", so the
-    // simulated timeline never observes a half-decoded buffer.  (No-op for
-    // the serial inline consumer.)
-    consumer_->decode_chunks(chunks_scratch_);
-    consumer_->sync();
-  }
+  drain_round();
   ++rounds_;
   last_round_end_ = now_cycles;
   round_armed_ = false;
@@ -109,27 +92,7 @@ std::optional<Cycles> Monitor::on_round_done(Cycles now_cycles) {
 }
 
 void Monitor::drain_all() {
-  chunks_scratch_.clear();
   drain_round();
-  if (drain_service_ != nullptr) {
-    // The end-of-run drain happens after program exit (the paper's final
-    // drain), so every in-window epoch has retired by now - sweep them
-    // before accounting the final flush epoch, which is outside the
-    // timing window and not charged to the overlap model.
-    overlap_.retired_epochs += inflight_retires_.size();
-    inflight_retires_.clear();
-    if (!chunks_scratch_.empty()) {
-      drain_service_->submit_epoch(std::move(chunks_scratch_));
-      chunks_scratch_ = {};
-      ++overlap_.retired_epochs;  // retires at the barrier below
-    }
-    // The timeline now explicitly waits for every epoch to retire.
-    drain_service_->barrier();
-    if (consumer_->parallel()) consumer_->sync();
-  } else {
-    consumer_->decode_chunks(chunks_scratch_);
-    consumer_->sync();
-  }
   round_armed_ = false;
 }
 
@@ -138,31 +101,6 @@ Cycles Monitor::round_cost() const {
   for (const auto* ev : poller_.events()) bytes += ev->aux().used();
   return cost_.monitor_service_base_cycles +
          static_cast<Cycles>(static_cast<double>(bytes) * cost_.monitor_cycles_per_byte);
-}
-
-void Monitor::retire_until(Cycles now) {
-  while (!inflight_retires_.empty() && inflight_retires_.front() <= now) {
-    inflight_retires_.pop_front();
-    ++overlap_.retired_epochs;
-  }
-}
-
-void Monitor::note_epoch(Cycles now, std::uint64_t bytes) {
-  // The consumer thread picks the epoch up after its wake latency, but no
-  // earlier than the retirement of its backlog; decoding costs the same
-  // per-byte work the sync path charges inside the round, plus the
-  // epoch-retirement bookkeeping.
-  const Cycles ready = now + cost_.drain_wake_cycles;
-  const Cycles start = std::max(ready, model_last_retire_);
-  if (model_last_retire_ > ready) overlap_.epoch_wait_cycles += model_last_retire_ - ready;
-  const Cycles retire =
-      start + static_cast<Cycles>(static_cast<double>(bytes) * cost_.monitor_cycles_per_byte) +
-      cost_.epoch_retire_cycles;
-  overlap_.overlapped_cycles += retire - now;
-  model_last_retire_ = retire;
-  inflight_retires_.push_back(retire);
-  overlap_.peak_epoch_lag =
-      std::max<std::uint64_t>(overlap_.peak_epoch_lag, inflight_retires_.size());
 }
 
 }  // namespace nmo::sim

@@ -21,30 +21,16 @@
 // event queues, so the same model serves both the statistical and the
 // exact trace driver.
 //
-// Two execution disciplines for the record-processing stage:
-//
-//  * synchronous (default, drain_service == nullptr): each round drains
-//    and decodes inline, ending with AuxConsumer::sync() - the fork/join
-//    barrier that parks the host thread until the decode pool retires the
-//    whole round;
-//  * asynchronous (a sim::DrainService is attached): each round performs
-//    only stage 1 (drain_raw - the deterministic device interaction) and
-//    closes the drained chunks into an epoch on the service's wakeup
-//    queue; the dedicated consumer thread runs stage 2 continuously, so
-//    decode of round N overlaps the drain of round N+1 and the host
-//    timeline only blocks when it observes an unretired epoch (finalize,
-//    or a region-table mutation's quiesce).
-//
-// The drain *schedule* - which simulated cycle each buffer is drained at -
-// is identical in both disciplines.  That invariant is what makes the two
-// paths emit byte-identical canonical traces (the repo's parity oracle);
-// what the async path changes is host-side execution, plus an overlap
-// model (CostModel::drain_wake_cycles / epoch_retire_cycles) quantifying
-// how much decode work retires in the timeline's shadow.
+// Each round runs stage 1 of the drain (AuxConsumer::drain_raw - the
+// deterministic device interaction) for every fd, submits the drained
+// chunks to the consumer's spe::DecodePool and ends with sync(), so the
+// simulated timeline never observes a half-decoded buffer.  The drain
+// schedule - which simulated cycle each buffer is drained at - does not
+// depend on how many decode shards the pool has, which is what makes every
+// shard count emit byte-identical canonical traces.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -58,29 +44,12 @@
 
 namespace nmo::sim {
 
-class DrainService;
-
-/// Overlap telemetry of the async drain pipeline, in simulated cycles
-/// (all zero when running synchronously).
-struct MonitorOverlap {
-  /// Decode work retired on the consumer thread while the timeline kept
-  /// running - in sync mode these cycles serialize inside the round.
-  std::uint64_t overlapped_cycles = 0;
-  /// Epochs whose modeled retirement completed.
-  std::uint64_t retired_epochs = 0;
-  /// Max epochs in flight (drained, not yet retired) at any drain point.
-  std::uint64_t peak_epoch_lag = 0;
-  /// Cycles the consumer-thread model lagged a new epoch's arrival (its
-  /// backlog had not retired when the next round's chunks landed).
-  std::uint64_t epoch_wait_cycles = 0;
-};
-
 /// Topology placement telemetry of the drain/decode pipeline, in bytes and
 /// modeled cycles (all zero on single-node machines or without a placement
-/// model attached).  Telemetry only, like MonitorOverlap: the remote-drain
-/// penalty never feeds round_cost() or the drain schedule, so every
-/// placement policy emits byte-identical traces - the model quantifies
-/// what the policy saves, it does not perturb what it measures.
+/// model attached).  Telemetry only: the remote-drain penalty never feeds
+/// round_cost() or the drain schedule, so every placement policy emits
+/// byte-identical traces - the model quantifies what the policy saves, it
+/// does not perturb what it measures.
 struct MonitorPlacement {
   /// Aux bytes drained whose decode shard is modeled on the producer
   /// core's own node.
@@ -96,11 +65,9 @@ struct MonitorPlacement {
 class Monitor {
  public:
   /// `events` is the full set of SPE events the monitor watches (the fds
-  /// in its epoll set).  With a non-null `drain_service` the monitor runs
-  /// the asynchronous staged pipeline described above; the service must
-  /// outlive the monitor.
+  /// in its epoll set).
   Monitor(const CostModel& cost, spe::AuxConsumer* consumer,
-          std::vector<kern::PerfEvent*> events, DrainService* drain_service = nullptr);
+          std::vector<kern::PerfEvent*> events);
 
   /// A wakeup fired at `now_cycles`.  If no round is armed, one is armed
   /// and the returned value is its completion time (wake latency + drain
@@ -115,8 +82,8 @@ class Monitor {
 
   /// Synchronous end-of-run drain (after the timing window, matching the
   /// paper's note that the final buffer drain happens after program exit).
-  /// Retires every outstanding epoch (async) and acknowledges any wakeups
-  /// still pending, so the poller set is quiescent afterwards.
+  /// Acknowledges any wakeups still pending, so the poller set is
+  /// quiescent afterwards.
   void drain_all();
 
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
@@ -126,8 +93,6 @@ class Monitor {
   [[nodiscard]] std::uint64_t wakeups_acked() const { return wakeups_acked_; }
   [[nodiscard]] bool round_armed() const { return round_armed_; }
   [[nodiscard]] const std::vector<kern::PerfEvent*>& events() const { return poller_.events(); }
-  [[nodiscard]] bool async() const { return drain_service_ != nullptr; }
-  [[nodiscard]] const MonitorOverlap& overlap() const { return overlap_; }
   [[nodiscard]] const MonitorPlacement& placement() const { return placement_; }
 
   /// Attaches the topology placement model: per-core drained bytes are
@@ -147,38 +112,28 @@ class Monitor {
 
  private:
   /// Estimated cost of one drain round: fixed setup plus per-byte
-  /// processing of everything currently buffered.  Mode-invariant (see the
-  /// header comment: the drain schedule is what both paths share).
+  /// processing of everything currently buffered.  Independent of the
+  /// decode shard count (see the header comment).
   [[nodiscard]] Cycles round_cost() const;
 
-  /// Stage 1 for every fd + the wakeup-ack handoff; returns the bytes
-  /// drained this round with the chunks appended to `chunks_scratch_`.
-  std::uint64_t drain_round();
+  /// One drain: stage 1 for every fd + the wakeup-ack handoff, then the
+  /// chunks' decode and sync.
+  void drain_round();
 
   /// Classifies `bytes` drained from `core` against the placement model.
   void note_drain_placement(CoreId core, std::uint64_t bytes);
-
-  /// Advances the overlap model for one epoch of `bytes` closed at `now`.
-  void note_epoch(Cycles now, std::uint64_t bytes);
-  /// Retires modeled epochs whose retirement time has passed.
-  void retire_until(Cycles now);
 
   CostModel cost_;
   spe::AuxConsumer* consumer_;
   core::BudgetToken* budget_ = nullptr;
   kern::Poller poller_;
-  DrainService* drain_service_;
   bool round_armed_ = false;
   Cycles last_round_end_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t bytes_drained_ = 0;
   std::uint64_t wakeups_acked_ = 0;
 
-  // Async-path state.
-  std::vector<spe::RawChunk> chunks_scratch_;
-  std::deque<Cycles> inflight_retires_;  ///< Modeled epoch retirement times.
-  Cycles model_last_retire_ = 0;
-  MonitorOverlap overlap_;
+  std::vector<spe::RawChunk> chunks_scratch_;  ///< Reused stage-1 output.
 
   // Placement-model state (set_placement_model).
   const sys::CpuTopology* placement_topology_ = nullptr;

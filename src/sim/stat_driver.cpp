@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/drain_service.hpp"
 #include "sim/monitor.hpp"
 #include "spe/aux_consumer.hpp"
 #include "spe/decode_pool.hpp"
@@ -127,21 +126,14 @@ StatResult run_statistical(const WorkloadProfile& profile, const MachineConfig& 
   }
   for (std::uint32_t t = 0; t < threads; ++t) ts[t].op_rng = Rng(cfg.seed, 2000 + t);
 
-  std::unique_ptr<spe::DecodePool> decode_pool;
-  if (cfg.decode_shards > 1) {
-    decode_pool = std::make_unique<spe::DecodePool>(cfg.decode_shards);
-  }
-  spe::AuxConsumer consumer =
-      decode_pool ? spe::AuxConsumer(decode_pool.get()) : spe::AuxConsumer();
-  std::unique_ptr<DrainService> drain_service;
-  if (cfg.async_drain && cfg.spe_enabled) {
-    drain_service = std::make_unique<DrainService>(&consumer, decode_pool.get());
-  }
+  // A baseline run drains nothing, so it gets an inline pool (no workers).
+  spe::DecodePool decode_pool(cfg.spe_enabled ? cfg.decode_shards : 1);
+  spe::AuxConsumer consumer(&decode_pool);
   CostModel monitor_cost = cost;
   if (cfg.monitor_round_interval_cycles != 0) {
     monitor_cost.monitor_round_interval_cycles = cfg.monitor_round_interval_cycles;
   }
-  Monitor monitor(monitor_cost, &consumer, events, drain_service.get());
+  Monitor monitor(monitor_cost, &consumer, events);
 
   std::priority_queue<Ev, std::vector<Ev>, std::greater<>> heap;
   std::uint64_t seq = 0;
@@ -320,14 +312,7 @@ StatResult run_statistical(const WorkloadProfile& profile, const MachineConfig& 
     result.truncated_flags = cc.truncated_flags;
     result.throttle_events = machine.throttler().throttle_events();
     result.monitor_services = monitor.rounds();
-    if (decode_pool != nullptr) {
-      result.decode_stalls = decode_pool->counts().producer_stalls;
-    }
-    const MonitorOverlap& overlap = monitor.overlap();
-    result.overlapped_cycles = overlap.overlapped_cycles;
-    result.retired_epochs = overlap.retired_epochs;
-    result.peak_epoch_lag = overlap.peak_epoch_lag;
-    result.epoch_wait_cycles = overlap.epoch_wait_cycles;
+    result.decode_stalls = decode_pool.counts().producer_stalls;
   }
 
   result.mem_counted = mem_counter.read_count();

@@ -50,19 +50,13 @@ struct SweepConfig {
   /// responsive; full-trace runs with RSS tracking and tagged regions
   /// (Figures 9-11) load the monitor loop and stretch its rounds.
   Cycles monitor_round_interval_cycles = 0;
-  /// Decode shards for the parallel SPE decode pipeline (spe/decode_pool);
-  /// <= 1 keeps the serial inline decode.  All StatResult tallies are
-  /// identical either way - the monitor syncs the pool at every round.
+  /// Decode shards of the run's spe::DecodePool; <= 1 decodes inline.  All
+  /// StatResult tallies are identical either way - the monitor syncs the
+  /// pool at every round.
   std::uint32_t decode_shards = 1;
   /// Write-combining batch for Sampler aux writes (Sampler::set_write_batch);
   /// 1 restores the exact per-record write path.
   std::uint32_t write_batch = 8;
-  /// Staged async drain pipeline (sim/drain_service.hpp): per-round decode
-  /// retires on a dedicated consumer thread with epoch tracking instead of
-  /// the round-end fork/join.  All StatResult tallies are identical either
-  /// way (the drain schedule is mode-invariant); the overlap telemetry
-  /// fields report what the consumer thread absorbed.
-  bool async_drain = false;
 };
 
 /// Aggregated outcome of a run; analysis/accuracy.hpp turns this into the
@@ -91,12 +85,7 @@ struct StatResult {
   std::uint64_t aux_records = 0;
   std::uint64_t truncated_flags = 0;
   std::uint64_t monitor_services = 0;
-  std::uint64_t decode_stalls = 0;      ///< Producer queue-full spins (parallel decode).
-  // Async drain overlap telemetry (zero when async_drain is off).
-  std::uint64_t overlapped_cycles = 0;  ///< Decode retired in the timeline's shadow.
-  std::uint64_t retired_epochs = 0;     ///< Drain epochs whose decode retired.
-  std::uint64_t peak_epoch_lag = 0;     ///< Max unretired epochs at a drain point.
-  std::uint64_t epoch_wait_cycles = 0;  ///< Modeled consumer-thread backlog lag.
+  std::uint64_t decode_stalls = 0;      ///< Producer queue-full spins (sharded decode).
 };
 
 /// Executes one statistical run.  With cfg.spe_enabled == false only the

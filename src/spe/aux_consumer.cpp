@@ -1,11 +1,19 @@
 #include "spe/aux_consumer.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <vector>
 
 namespace nmo::spe {
+
+AuxConsumer::AuxConsumer(BatchSink sink) {
+  DecodePool::BatchSink pool_sink;
+  if (sink) {
+    pool_sink = [s = std::move(sink)](std::span<const Record> records, CoreId core,
+                                      std::uint32_t) { s(records, core); };
+  }
+  owned_pool_ = std::make_unique<DecodePool>(1, std::move(pool_sink));
+  pool_ = owned_pool_.get();
+}
 
 std::uint64_t AuxConsumer::drain(kern::PerfEvent& ev) {
   std::vector<RawChunk> chunks;
@@ -30,8 +38,8 @@ std::uint64_t AuxConsumer::drain_raw(kern::PerfEvent& ev, std::vector<RawChunk>&
         chunk.core = ev.core();
         chunk.bytes.resize(aux.aux_size);
         ev.read_aux(aux.aux_offset, chunk.bytes);
-        // Trailing partial records are dropped here, exactly as the inline
-        // decode ignored them; the aux space is recycled either way.
+        // Trailing partial records are dropped here; the aux space is
+        // recycled either way.
         chunk.bytes.resize(chunk.bytes.size() / kRecordSize * kRecordSize);
         if (!chunk.bytes.empty()) out.push_back(std::move(chunk));
         ev.consume_aux(aux.aux_offset + aux.aux_size);
@@ -60,43 +68,13 @@ std::uint64_t AuxConsumer::drain_raw(kern::PerfEvent& ev, std::vector<RawChunk>&
   return bytes;
 }
 
-DecodedChunk AuxConsumer::decode_raw(const RawChunk& chunk) const {
-  DecodedChunk total;
-  std::array<Record, RecordBatch::kMaxRecords> decoded;
-  // The same chunk loop the pool workers use, so the two paths cannot
-  // drift apart: decode in RecordBatch-sized spans, flush valid records to
-  // the sink per span.
-  constexpr std::size_t kChunkBytes = RecordBatch::kMaxRecords * kRecordSize;
-  const std::span<const std::byte> raw(chunk.bytes);
-  for (std::size_t off = 0; off < raw.size(); off += kChunkBytes) {
-    const std::size_t len = std::min(kChunkBytes, raw.size() - off);
-    const DecodedChunk piece = decode_chunk(raw.subspan(off, len), decoded);
-    total.ok += piece.ok;
-    total.skipped += piece.skipped;
-    if (batch_sink_ && piece.ok > 0) {
-      batch_sink_(std::span<const Record>(decoded.data(), piece.ok), chunk.core);
-    }
-  }
-  return total;
-}
-
 void AuxConsumer::decode_chunks(std::span<const RawChunk> chunks) {
-  for (const RawChunk& chunk : chunks) {
-    if (pool_ != nullptr) {
-      // Parallel path: hand the raw records to the shard queues; the aux
-      // space was already recycled when the bytes were copied out.
-      pool_->submit(chunk.bytes, chunk.core);
-    } else {
-      const DecodedChunk decoded = decode_raw(chunk);
-      counts_.records_ok += decoded.ok;
-      counts_.records_skipped += decoded.skipped;
-      if (progress_ && decoded.ok > 0) progress_(counts_.records_ok);
-    }
-  }
+  // The aux space was already recycled when the bytes were copied out.
+  for (const RawChunk& chunk : chunks) pool_->submit(chunk.bytes, chunk.core);
+  sync();
 }
 
 void AuxConsumer::sync() {
-  if (pool_ == nullptr) return;
   pool_->sync();
   const auto decoded = pool_->counts();
   const bool advanced = decoded.records_ok > counts_.records_ok;
@@ -107,10 +85,8 @@ void AuxConsumer::sync() {
 
 void AuxConsumer::reset_counts() {
   counts_ = Counts{};
-  if (pool_ != nullptr) {
-    pool_->sync();
-    pool_->reset_counts();
-  }
+  pool_->sync();
+  pool_->reset_counts();
 }
 
 }  // namespace nmo::spe

@@ -2,35 +2,26 @@
 // that NMO runs when epoll reports a wakeup.
 //
 // For every PERF_RECORD_AUX in the data ring this reads the referenced aux
-// bytes, splits them into 64-byte records and forwards them down one of two
-// decode paths:
+// bytes, advances aux_tail so the device can reuse the space, and tallies
+// the flags NMO's evaluation counts: COLLISION-flagged records (the paper's
+// "sample collision" metric) and TRUNCATED ones.  The drain has two stages:
 //
-//  * serial (default): records are decoded inline with NMO's validation
-//    rules (spe/packet.hpp) and valid ones are handed to the sink in
-//    batches (spans of up to RecordBatch::kMaxRecords records);
-//  * parallel: raw record bytes are fanned out to a spe::DecodePool, whose
-//    worker shards decode them off the drain thread.  sync() is the
-//    barrier that makes counts and sink state coherent again.
+//   stage 1  drain_raw()      ring/aux consumption + flag tallies - the only
+//                             part that touches device state, so it stays on
+//                             the simulated timeline where drains are
+//                             deterministic;
+//   stage 2  decode_chunks()  submits the raw records to a spe::DecodePool
+//                             and ends with sync(), after which counts() and
+//                             the sink state are coherent again.
 //
-// Either way the consumer advances aux_tail so the device can reuse the
-// space, and tallies the flags NMO's evaluation counts: COLLISION-flagged
-// records (the paper's "sample collision" metric) and TRUNCATED ones.
-//
-// The drain is internally staged so the async drain pipeline
-// (sim/drain_service.hpp) can split it across threads:
-//
-//   stage 1  drain_raw()     ring/aux consumption + flag tallies - the only
-//                            part that touches device state, so it stays on
-//                            the simulated timeline where drains are
-//                            deterministic;
-//   stage 2  decode_chunks() decode + sink (inline or pool fan-out), which
-//                            may run on a dedicated consumer thread.
-//
-// drain() = drain_raw() + decode_chunks(), the classic one-call round.
+// A consumer built without a pool owns an inline DecodePool (the records
+// decode on the calling thread); one built over a sharded pool fans them
+// out to its workers.  drain() = drain_raw() + decode_chunks().
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,7 +33,7 @@ namespace nmo::spe {
 
 /// One AUX record's worth of drained-but-undecoded SPE bytes (stage-1
 /// output; whole 64-byte records only, trailing partials are dropped at
-/// drain time exactly as the inline path drops them).
+/// drain time).
 struct RawChunk {
   CoreId core = 0;
   std::vector<std::byte> bytes;
@@ -60,74 +51,48 @@ class AuxConsumer {
     std::uint64_t lost_records = 0;     ///< PERF_RECORD_LOST events.
   };
 
-  /// Batched sink: receives every valid sample of one AUX record as a span.
+  /// Batched sink: receives the valid samples of one AUX record in spans
+  /// of up to RecordBatch::kMaxRecords records.
   using BatchSink = std::function<void(std::span<const Record>, CoreId core)>;
   /// Decode-progress observer: called with the cumulative records_ok tally
-  /// whenever it advances (block-close granularity for the streaming
-  /// layer's live heartbeats).  Always invoked on the thread that owns
-  /// counts() - the timeline thread - never from pool workers.
+  /// whenever sync() sees it advance (block-close granularity for the
+  /// streaming layer's live heartbeats).  Always invoked on the thread
+  /// that owns counts() - the timeline thread - never from pool workers.
   using ProgressHook = std::function<void(std::uint64_t records_ok)>;
-  /// Legacy per-record sink, adapted onto the batched path.
-  using Sink = std::function<void(const Record&, CoreId core)>;
 
-  AuxConsumer() = default;
-  explicit AuxConsumer(BatchSink sink) : batch_sink_(std::move(sink)) {}
-  explicit AuxConsumer(Sink sink) {
-    if (sink) {
-      batch_sink_ = [s = std::move(sink)](std::span<const Record> records, CoreId core) {
-        for (const Record& r : records) s(r, core);
-      };
-    }
-  }
-  /// Parallel mode: raw records are submitted to `pool` (not owned) instead
-  /// of being decoded inline.  counts() is coherent only after sync().
+  /// Counting-only consumer over an owned inline pool.
+  AuxConsumer() : AuxConsumer(BatchSink{}) {}
+  /// Owns an inline pool that feeds `sink` on the calling thread.
+  explicit AuxConsumer(BatchSink sink);
+  /// Submits to `pool` (not owned), which must outlive the consumer.
   explicit AuxConsumer(DecodePool* pool) : pool_(pool) {}
 
-  /// Drains all pending records of `ev`; returns the number of aux bytes
-  /// consumed (what the monitor's timing model charges for).
+  /// Drains and decodes all pending records of `ev`; returns the number of
+  /// aux bytes consumed (what the monitor's timing model charges for).
   std::uint64_t drain(kern::PerfEvent& ev);
 
   /// Stage 1 only: consumes `ev`'s ring records and aux bytes, tallies the
   /// AUX flags, and appends the raw record bytes to `out` without decoding
-  /// them.  Returns the aux bytes consumed.  Device-visible state (ring
-  /// tail, aux tail, wakeup bookkeeping) advances exactly as drain() would.
+  /// them.  Returns the aux bytes consumed.
   std::uint64_t drain_raw(kern::PerfEvent& ev, std::vector<RawChunk>& out);
 
-  /// Stage 2 for one chunk on the *serial* path: decodes with the shared
-  /// chunk loop and feeds the batch sink.  Returns the decode tallies
-  /// WITHOUT touching counts(), so a consumer thread can accumulate its own
-  /// tallies and fold them in later (add_decoded) with no data race against
-  /// the timeline thread.
-  DecodedChunk decode_raw(const RawChunk& chunk) const;
-
-  /// Stage 2 dispatch: pool fan-out in parallel mode, decode_raw + counts()
-  /// accumulation in serial mode.  drain() == drain_raw() + decode_chunks().
+  /// Stage 2: submits every chunk to the pool, then sync().
   void decode_chunks(std::span<const RawChunk> chunks);
 
-  /// Folds decode tallies produced off-thread (sim::DrainService's serial
-  /// consumer thread) into counts().  Caller must guarantee the producing
-  /// thread is quiescent (the service's barrier does).
-  void add_decoded(std::uint64_t ok, std::uint64_t skipped) {
-    counts_.records_ok += ok;
-    counts_.records_skipped += skipped;
-    if (progress_ && ok > 0) progress_(counts_.records_ok);
-  }
+  /// Waits for every submitted batch, then folds the pool's decode tallies
+  /// into counts().
+  void sync();
 
   /// Installs (or clears) the decode-progress observer.
   void set_progress_hook(ProgressHook hook) { progress_ = std::move(hook); }
 
-  /// Barrier for the parallel path: waits for every in-flight batch, then
-  /// folds the pool's decode tallies into counts().  No-op in serial mode.
-  void sync();
-
-  [[nodiscard]] bool parallel() const { return pool_ != nullptr; }
   [[nodiscard]] const DecodePool* pool() const { return pool_; }
 
   [[nodiscard]] const Counts& counts() const { return counts_; }
   void reset_counts();
 
  private:
-  BatchSink batch_sink_;
+  std::unique_ptr<DecodePool> owned_pool_;
   DecodePool* pool_ = nullptr;
   Counts counts_;
   ProgressHook progress_;

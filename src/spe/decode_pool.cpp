@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 
 namespace nmo::spe {
@@ -98,8 +97,10 @@ DecodePool::DecodePool(std::uint32_t shards, BatchSink sink, std::size_t queue_c
 
 DecodePool::DecodePool(std::uint32_t shards, BatchSink sink, std::size_t queue_capacity,
                        PlacementOptions placement)
-    : sink_(std::move(sink)), placement_(std::move(placement)) {
-  if (shards == 0) throw std::invalid_argument("DecodePool needs at least one shard");
+    : sink_(std::move(sink)),
+      placement_(std::move(placement)),
+      shard_count_(std::max<std::uint32_t>(1, shards)) {
+  if (shards <= 1) return;  // inline: no workers, no queues
   if (placement_.policy != PlacementPolicy::kNone && placement_.topology.empty()) {
     placement_.topology = sys::CpuTopology::discover();
   }
@@ -125,17 +126,37 @@ DecodePool::~DecodePool() {
   }
 }
 
+DecodedChunk DecodePool::decode_batch(std::span<const std::byte> raw, CoreId core,
+                                      std::uint32_t shard, std::span<Record> scratch) const {
+  const DecodedChunk chunk = decode_chunk(raw, scratch);
+  if (sink_ && chunk.ok > 0) sink_(scratch.first(chunk.ok), core, shard);
+  return chunk;
+}
+
 void DecodePool::submit(std::span<const std::byte> raw, CoreId core) {
+  constexpr std::size_t kBatchBytes = RecordBatch::kMaxRecords * kRecordSize;
+  // Whole records only: a trailing partial record is dropped here, as
+  // decode_chunk and AuxConsumer::drain_raw drop it.
+  raw = raw.first(raw.size() / kRecordSize * kRecordSize);
+
+  if (shards_.empty()) {
+    std::array<Record, RecordBatch::kMaxRecords> decoded;
+    for (std::size_t off = 0; off < raw.size(); off += kBatchBytes) {
+      const DecodedChunk chunk = decode_batch(
+          raw.subspan(off, std::min(kBatchBytes, raw.size() - off)), core, 0, decoded);
+      inline_ok_ += chunk.ok;
+      inline_skipped_ += chunk.skipped;
+    }
+    return;
+  }
+
   Shard& shard = *shards_[shard_of(core)];
-  std::size_t off = 0;
-  while (off < raw.size()) {
+  for (std::size_t off = 0; off < raw.size(); off += kBatchBytes) {
+    const std::size_t len = std::min(kBatchBytes, raw.size() - off);
     RecordBatch batch;
     batch.core = core;
-    const std::size_t records =
-        std::min<std::size_t>(RecordBatch::kMaxRecords, (raw.size() - off) / kRecordSize);
-    batch.records = static_cast<std::uint32_t>(records);
-    std::memcpy(batch.bytes.data(), raw.data() + off, records * kRecordSize);
-    off += records * kRecordSize;
+    batch.records = static_cast<std::uint32_t>(len / kRecordSize);
+    std::memcpy(batch.bytes.data(), raw.data() + off, len);
 
     // Backpressure: the producer waits for queue space rather than dropping
     // (loss is the device model's job, not the decode pipeline's).  Each
@@ -166,30 +187,10 @@ void DecodePool::sync() {
   }
 }
 
-DecodePool::EpochTicket DecodePool::mark_epoch() const {
-  EpochTicket ticket;
-  ticket.targets.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ticket.targets.push_back(shard->submitted.load(std::memory_order_acquire));
-  }
-  return ticket;
-}
-
-bool DecodePool::epoch_done(const EpochTicket& ticket) const {
-  for (std::size_t i = 0; i < ticket.targets.size() && i < shards_.size(); ++i) {
-    if (shards_[i]->processed.load(std::memory_order_acquire) < ticket.targets[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void DecodePool::wait_epoch(const EpochTicket& ticket) {
-  while (!epoch_done(ticket)) std::this_thread::yield();
-}
-
 DecodePool::DecodeCounts DecodePool::counts() const {
   DecodeCounts total;
+  total.records_ok = inline_ok_;
+  total.records_skipped = inline_skipped_;
   for (const auto& shard : shards_) {
     total.records_ok += shard->records_ok;
     total.records_skipped += shard->records_skipped;
@@ -199,6 +200,8 @@ DecodePool::DecodeCounts DecodePool::counts() const {
 }
 
 void DecodePool::reset_counts() {
+  inline_ok_ = 0;
+  inline_skipped_ = 0;
   for (auto& shard : shards_) {
     shard->records_ok = 0;
     shard->records_skipped = 0;
@@ -237,12 +240,9 @@ void DecodePool::worker_loop(Shard& shard, std::uint32_t index) {
     }
     idle_polls = 0;
 
-    const DecodedChunk chunk = decode_chunk(batch.payload(), decoded);
+    const DecodedChunk chunk = decode_batch(batch.payload(), batch.core, index, decoded);
     shard.records_ok += chunk.ok;
     shard.records_skipped += chunk.skipped;
-    if (sink_ && chunk.ok > 0) {
-      sink_(std::span<const Record>(decoded.data(), chunk.ok), batch.core, index);
-    }
     shard.processed.fetch_add(1, std::memory_order_release);
   }
 }

@@ -1,29 +1,24 @@
-// Parallel sharded decode pipeline for SPE aux data.
+// The one decode stage of the SPE drain path.
 //
-// The serial consumer (spe/aux_consumer.hpp) decodes every 64-byte record
-// inline on the monitor thread; at production scale the monitor is bounded
-// by decode throughput, which is exactly why the paper sweeps period and
-// aux-buffer size (Figs. 7-9): whatever cannot be drained in time is lost.
-// DecodePool decouples draining from decoding: the producer (the monitor
-// loop) packs raw 64-byte records into fixed-size RecordBatches and fans
-// them out to N worker shards, one lock-free SPSC batch queue per shard
-// (same head/tail cursor discipline as kernel/ring_buffer.hpp, with atomics
-// because the two sides really are different threads here).  Records are
-// sharded by producing core, so each shard observes one or more cores'
-// streams in order and a per-shard sink never needs a lock.
+// The monitor (sim/monitor.hpp) drains each round in two steps: stage 1
+// copies the aux bytes out on the simulated timeline (AuxConsumer::
+// drain_raw), stage 2 submits them here and ends the round with sync().
+// Whatever cannot be drained in time is lost, which is why the paper sweeps
+// period and aux-buffer size (Figs. 7-9).
 //
-// Two completion disciplines are offered:
-//  * sync() is the classic fork/join barrier: it waits until every
-//    submitted batch has been decoded, so callers that sync at the end of
-//    a drain round observe exactly the counts the serial path would have
-//    produced, and per-shard traces can be merged deterministically at
-//    finalize (core/trace.hpp sort_canonical);
-//  * epoch tickets (mark_epoch / epoch_done / wait_epoch) let a staged
-//    producer close one drain round as an *epoch* and later observe (or
-//    wait for) just that epoch's retirement, without fencing batches
-//    submitted afterwards.  This is what the async drain pipeline
-//    (sim/drain_service.hpp) uses to overlap decode of round N with the
-//    drain of round N+1.
+// A pool with one shard (or none requested) decodes inline: submit() runs
+// decode_chunk on the caller's thread in RecordBatch-sized pieces and hands
+// each to the sink as shard 0; there is no worker and no queue, and sync()
+// has nothing to wait for.  With N > 1 shards the producer packs raw
+// 64-byte records into fixed-size RecordBatches and fans them out to N
+// worker threads, one lock-free SPSC batch queue per shard (same head/tail
+// cursor discipline as kernel/ring_buffer.hpp, with atomics because the two
+// sides really are different threads).  Records are sharded by producing
+// core, so each shard observes one or more cores' streams in order and a
+// per-shard sink never needs a lock; sync() waits until every submitted
+// batch has been decoded.  Either way the per-shard traces merge
+// canonically at finalize (core/trace.hpp sort_canonical), so every shard
+// count emits byte-identical output.
 #pragma once
 
 #include <array>
@@ -64,8 +59,7 @@ enum class PlacementPolicy : std::uint8_t {
 /// Parses "none" / "pack" / "near-producer" (CLI and bench flags).
 [[nodiscard]] std::optional<PlacementPolicy> parse_placement_policy(std::string_view text);
 
-/// Placement configuration of a DecodePool (and the drain-service consumer
-/// thread that feeds it).
+/// Placement configuration of a DecodePool's shard workers.
 struct PlacementOptions {
   PlacementPolicy policy = PlacementPolicy::kNone;
   /// Topology the policy maps shards onto.  Empty with a non-kNone policy
@@ -129,8 +123,7 @@ struct DecodedChunk {
 
 /// Decodes every whole 64-byte record in `raw` (at most out.size() of
 /// them), writing valid ones to the front of `out`.  The single decode
-/// loop shared by the serial inline consumer and the pool workers, so the
-/// two paths cannot drift apart.
+/// loop shared by the inline pool and the shard workers.
 DecodedChunk decode_chunk(std::span<const std::byte> raw, std::span<Record> out);
 
 class DecodePool {
@@ -141,17 +134,19 @@ class DecodePool {
     std::uint64_t records_skipped = 0;
     /// Producer queue-full spins in submit(): each one is a failed push
     /// that cost the drain loop a yield - the backpressure signal that the
-    /// decode shards (not the aux buffer) are the bottleneck.
+    /// decode shards (not the aux buffer) are the bottleneck.  Always 0 for
+    /// an inline pool.
     std::uint64_t producer_stalls = 0;
   };
 
-  /// Receives every decoded batch on the shard's worker thread.  `shard` is
-  /// the worker index, so a sink writing into per-shard storage needs no
+  /// Receives every decoded batch, on the shard's worker thread (or the
+  /// caller's thread for an inline pool, as shard 0).  `shard` is the
+  /// shard index, so a sink writing into per-shard storage needs no
   /// locking.  May be empty (counting-only runs).
   using BatchSink = std::function<void(std::span<const Record>, CoreId, std::uint32_t shard)>;
 
-  /// Spawns `shards` worker threads, each owning one SPSC queue of
-  /// `queue_capacity` batches.
+  /// `shards` <= 1 builds an inline pool; otherwise spawns `shards` worker
+  /// threads, each owning one SPSC queue of `queue_capacity` batches.
   explicit DecodePool(std::uint32_t shards, BatchSink sink = {},
                       std::size_t queue_capacity = 256);
   /// Same, with a shard-placement policy: workers are named nmo-dec<N> and
@@ -164,39 +159,20 @@ class DecodePool {
   DecodePool(const DecodePool&) = delete;
   DecodePool& operator=(const DecodePool&) = delete;
 
-  /// Producer side (one thread): splits `raw` into RecordBatches and
-  /// enqueues them on core's shard.  Blocks (spin + yield) while the shard
-  /// queue is full - backpressure instead of loss, matching the semantics
-  /// of the serial inline decode.  `raw.size()` must be a multiple of
-  /// kRecordSize.
+  /// Producer side (one thread): decodes `raw` inline, or splits it into
+  /// RecordBatches and enqueues them on core's shard.  Blocks (spin +
+  /// yield) while the shard queue is full - backpressure instead of loss.
+  /// A trailing partial record is dropped, as decode_chunk drops it.
   void submit(std::span<const std::byte> raw, CoreId core);
 
   /// Barrier: returns once every submitted batch has been decoded and its
   /// sink call has returned.  Afterwards counts() and all per-shard sink
-  /// state are coherent with the producer thread.
+  /// state are coherent with the producer thread.  No-op for an inline pool.
   void sync();
 
-  /// Epoch completion ticket: a per-shard snapshot of the submission
-  /// cursors.  The epoch it closes has retired once every shard's
-  /// processed cursor has reached its snapshot.  Only the producer thread
-  /// may take tickets (the snapshot must be stable with respect to its own
-  /// submits); any thread may check or wait on one.
-  struct EpochTicket {
-    std::vector<std::uint64_t> targets;  ///< Per-shard submitted marks.
-  };
-
-  /// Closes the current epoch: everything submitted so far belongs to it.
-  [[nodiscard]] EpochTicket mark_epoch() const;
-  /// True once every batch of the ticket's epoch has been decoded and its
-  /// sink call has returned.
-  [[nodiscard]] bool epoch_done(const EpochTicket& ticket) const;
-  /// Blocks until epoch_done(ticket); unlike sync() it does not fence
-  /// batches submitted after the ticket was taken.
-  void wait_epoch(const EpochTicket& ticket);
-
-  [[nodiscard]] std::uint32_t shards() const { return static_cast<std::uint32_t>(shards_.size()); }
+  [[nodiscard]] std::uint32_t shards() const { return shard_count_; }
   [[nodiscard]] std::uint32_t shard_of(CoreId core) const {
-    return static_cast<std::uint32_t>(core % shards_.size());
+    return static_cast<std::uint32_t>(core % shard_count_);
   }
 
   /// Aggregated decode tallies; call sync() first.
@@ -207,7 +183,8 @@ class DecodePool {
   [[nodiscard]] PlacementPolicy placement_policy() const { return placement_.policy; }
   [[nodiscard]] const sys::CpuTopology& topology() const { return placement_.topology; }
   /// Shard workers whose host affinity call succeeded (advisory telemetry;
-  /// 0 under kNone or when the host rejects the synthetic cpu ids).
+  /// 0 under kNone, for an inline pool, or when the host rejects the
+  /// synthetic cpu ids).
   [[nodiscard]] std::uint32_t pinned_shards() const {
     return pinned_shards_.load(std::memory_order_relaxed);
   }
@@ -229,11 +206,19 @@ class DecodePool {
     std::thread worker;
   };
 
+  /// Decodes one batch-sized piece into `scratch` and feeds the sink.
+  DecodedChunk decode_batch(std::span<const std::byte> raw, CoreId core, std::uint32_t shard,
+                            std::span<Record> scratch) const;
   void worker_loop(Shard& shard, std::uint32_t index);
 
   BatchSink sink_;
   PlacementOptions placement_;
+  std::uint32_t shard_count_ = 1;
+  /// Worker shards; empty for an inline pool.
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Inline-pool tallies (producer thread only).
+  std::uint64_t inline_ok_ = 0;
+  std::uint64_t inline_skipped_ = 0;
   std::atomic<std::uint32_t> pinned_shards_{0};
   std::atomic<bool> stop_{false};
   /// Only the producer writes this; atomic so counts() can read it from

@@ -490,18 +490,4 @@ MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>&
   return run;
 }
 
-MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
-                             const SchedulerConfig& config) {
-  RunOptions options;
-  options.scheduler = config;
-  return run_sessions(store, jobs, options);
-}
-
-std::vector<SessionResult> run_sessions_threaded(SessionStore& store,
-                                                 const std::vector<SessionJob>& jobs) {
-  RunOptions options;
-  options.threaded = true;
-  return run_sessions(store, jobs, options).results;
-}
-
 }  // namespace nmo::store

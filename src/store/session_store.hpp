@@ -229,14 +229,4 @@ struct RunOptions {
 MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
                              const RunOptions& options = {});
 
-/// Deprecated shim for the pre-RunOptions signature; forwards to
-/// run_sessions(store, jobs, RunOptions{.scheduler = config}).
-MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
-                             const SchedulerConfig& config);
-
-/// Deprecated shim for the old thread-per-session runner; forwards to
-/// run_sessions(store, jobs, RunOptions{.threaded = true}).
-std::vector<SessionResult> run_sessions_threaded(SessionStore& store,
-                                                 const std::vector<SessionJob>& jobs);
-
 }  // namespace nmo::store

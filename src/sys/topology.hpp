@@ -105,7 +105,7 @@ bool set_current_thread_name(const char* name);
 bool pin_current_thread(const std::vector<std::uint32_t>& cpus);
 
 /// The one sanctioned way to spawn a long-lived thread: every worker gets
-/// a kernel-visible name ("nmo-dec0", "nmo-drain", ...) before its body
+/// a kernel-visible name ("nmo-dec0", "nmo-wrk0", ...) before its body
 /// runs, so ps/top/gdb and trace tooling can tell the pipeline stages
 /// apart.  nmo-lint's naked-thread rule rejects raw std::thread
 /// construction anywhere else in src/ and tools/.

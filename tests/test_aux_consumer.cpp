@@ -1,7 +1,11 @@
-// AuxConsumer: draining AUX records, decoding, flag counting.
+// AuxConsumer: draining AUX records, decoding through the inline or a
+// sharded DecodePool, flag counting.
 #include "spe/aux_consumer.hpp"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 namespace nmo::spe {
 namespace {
@@ -35,8 +39,8 @@ TEST(AuxConsumer, DrainsValidRecords) {
   ev->aux_write(valid_record(0x1000, 1), 0);
   ev->aux_write(valid_record(0x2000, 2), 0);  // crosses 128-byte watermark
   std::vector<Addr> seen;
-  AuxConsumer consumer([&](const Record& r, CoreId core) {
-    seen.push_back(r.vaddr);
+  AuxConsumer consumer([&](std::span<const Record> records, CoreId core) {
+    for (const Record& r : records) seen.push_back(r.vaddr);
     EXPECT_EQ(core, 3u);
   });
   const auto bytes = consumer.drain(*ev);
@@ -126,8 +130,8 @@ TEST(AuxConsumer, ResetCounts) {
 
 TEST(AuxConsumer, DrainRawDefersDecode) {
   // Stage 1 consumes device state and tallies AUX flags but decodes
-  // nothing; stage 2 (decode_chunks) completes it to exactly what drain()
-  // would have produced.
+  // nothing; stage 2 (decode_chunks: submit + sync) completes it to exactly
+  // what drain() would have produced.
   auto ev = make_event();
   ev->note_collision();
   ev->aux_write(valid_record(0x1000, 1), 0);
@@ -135,7 +139,9 @@ TEST(AuxConsumer, DrainRawDefersDecode) {
   bad[30] = std::byte{0x00};
   ev->aux_write(bad, 0);
   std::vector<Addr> seen;
-  AuxConsumer consumer([&](const Record& r, CoreId) { seen.push_back(r.vaddr); });
+  AuxConsumer consumer([&](std::span<const Record> records, CoreId) {
+    for (const Record& r : records) seen.push_back(r.vaddr);
+  });
 
   std::vector<RawChunk> chunks;
   const auto bytes = consumer.drain_raw(*ev, chunks);
@@ -156,25 +162,22 @@ TEST(AuxConsumer, DrainRawDefersDecode) {
   EXPECT_EQ(seen[0], 0x1000u);
 }
 
-TEST(AuxConsumer, DecodeRawLeavesCountsUntouched) {
-  // decode_raw is the off-thread half: it feeds the sink and reports
-  // tallies without mutating counts(), which add_decoded folds in later.
+TEST(AuxConsumer, DefaultConsumerDecodesInline) {
+  // Without a pool the consumer owns a one-shard pool that decodes on the
+  // calling thread: the sink runs here, before drain() returns.
   auto ev = make_event();
   ev->aux_write(valid_record(0xa, 1), 0);
   ev->aux_write(valid_record(0xb, 2), 0);
-  std::vector<Addr> seen;
-  AuxConsumer consumer([&](const Record& r, CoreId) { seen.push_back(r.vaddr); });
-  std::vector<RawChunk> chunks;
-  consumer.drain_raw(*ev, chunks);
-  ASSERT_EQ(chunks.size(), 1u);
-
-  const DecodedChunk decoded = consumer.decode_raw(chunks[0]);
-  EXPECT_EQ(decoded.ok, 2u);
-  EXPECT_EQ(decoded.skipped, 0u);
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_EQ(consumer.counts().records_ok, 0u);
-
-  consumer.add_decoded(decoded.ok, decoded.skipped);
+  const auto caller = std::this_thread::get_id();
+  std::size_t sunk = 0;
+  AuxConsumer consumer([&](std::span<const Record> records, CoreId) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    sunk += records.size();
+  });
+  ASSERT_NE(consumer.pool(), nullptr);
+  EXPECT_EQ(consumer.pool()->shards(), 1u);
+  consumer.drain(*ev);
+  EXPECT_EQ(sunk, 2u);
   EXPECT_EQ(consumer.counts().records_ok, 2u);
 }
 

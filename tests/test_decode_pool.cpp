@@ -1,5 +1,6 @@
-// DecodePool: sharded parallel decode, SPSC queue behaviour, count parity
-// with the serial AuxConsumer, and serial-vs-parallel trace equality.
+// DecodePool: the inline (one-shard) pool, sharded decode, SPSC queue
+// behaviour, count parity between inline and sharded consumers, and trace
+// equality across shard counts - pinned to the quickstart's fingerprint.
 #include "spe/decode_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -127,31 +129,51 @@ TEST(DecodePool, EmptySyncAndEmptyDrains) {
   EXPECT_EQ(consumer.counts().records_ok, 0u);
 }
 
-TEST(DecodePool, EpochTicketsTrackPerEpochCompletion) {
-  // Epoch tickets are the async drain pipeline's completion primitive: a
-  // ticket taken after submitting epoch N retires once N's batches decode,
-  // independent of batches submitted afterwards.
-  DecodePool pool(2);
-  const auto empty_ticket = pool.mark_epoch();
-  EXPECT_TRUE(pool.epoch_done(empty_ticket));  // nothing submitted yet
-  pool.wait_epoch(empty_ticket);               // must not hang
+TEST(DecodePool, InlinePoolDecodesOnTheCallersThread) {
+  // One shard (or none requested) means no worker and no queue: submit()
+  // decodes before it returns and sync() has nothing to wait for.
+  for (const std::uint32_t shards : {0u, 1u}) {
+    const auto caller = std::this_thread::get_id();
+    std::uint64_t sunk = 0;
+    DecodePool pool(shards, [&](std::span<const Record> records, CoreId core,
+                                std::uint32_t shard) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(shard, 0u);
+      EXPECT_EQ(core, 5u);
+      EXPECT_LE(records.size(), RecordBatch::kMaxRecords);
+      sunk += records.size();
+    });
+    EXPECT_EQ(pool.shards(), 1u);
+    EXPECT_EQ(pool.shard_of(5), 0u);
+    pool.submit(raw_stream(/*valid=*/150, /*invalid=*/3), /*core=*/5);
+    EXPECT_EQ(sunk, 150u) << "shards=" << shards;
+    EXPECT_EQ(pool.counts().records_ok, 150u);
+    EXPECT_EQ(pool.counts().records_skipped, 3u);
+    pool.sync();
+    EXPECT_EQ(pool.counts().producer_stalls, 0u);
+    EXPECT_EQ(pool.pinned_shards(), 0u);
+    pool.reset_counts();
+    EXPECT_EQ(pool.counts().records_ok, 0u);
+  }
+}
 
-  const auto epoch1 = raw_stream(96, 4, 0x1000);
-  pool.submit(epoch1, /*core=*/0);
-  const auto ticket1 = pool.mark_epoch();
-  pool.wait_epoch(ticket1);
-  EXPECT_TRUE(pool.epoch_done(ticket1));
-  const auto after_epoch1 = pool.counts();
-  EXPECT_EQ(after_epoch1.records_ok, 96u);
-  EXPECT_EQ(after_epoch1.records_skipped, 4u);
-
-  // A ticket from epoch 1 stays done while epoch 2 is in flight.
-  const auto epoch2 = raw_stream(64, 0, 0x9000);
-  pool.submit(epoch2, /*core=*/1);
-  EXPECT_TRUE(pool.epoch_done(ticket1));
-  const auto ticket2 = pool.mark_epoch();
-  pool.wait_epoch(ticket2);
-  EXPECT_EQ(pool.counts().records_ok, 160u);
+TEST(DecodePool, TrailingPartialRecordIsDropped) {
+  // One whole record plus 10 stray bytes: the partial tail is dropped, as
+  // decode_chunk drops it, instead of stalling submit() on a 0-record batch.
+  auto raw = raw_stream(/*valid=*/1, /*invalid=*/0);
+  raw.resize(raw.size() + 10, std::byte{0x5a});
+  std::array<Record, RecordBatch::kMaxRecords> out;
+  const DecodedChunk expected = decode_chunk(raw, out);
+  EXPECT_EQ(expected.ok, 1u);
+  EXPECT_EQ(expected.skipped, 0u);
+  for (const std::uint32_t shards : {1u, 2u}) {
+    DecodePool pool(shards, {}, /*queue_capacity=*/4);
+    pool.submit(raw, /*core=*/0);
+    pool.submit(std::span<const std::byte>(raw).first(10), /*core=*/1);  // partial only
+    pool.sync();
+    EXPECT_EQ(pool.counts().records_ok, expected.ok) << "shards=" << shards;
+    EXPECT_EQ(pool.counts().records_skipped, expected.skipped) << "shards=" << shards;
+  }
 }
 
 /// Feeds the same event stream (valid + invalid records, a collision flag
@@ -239,6 +261,34 @@ TEST(DecodePool, SerialAndParallelTracesAreByteIdentical) {
     const auto [md5, csv] = run(shards);
     EXPECT_EQ(md5, serial_md5) << "shards=" << shards;
     EXPECT_EQ(csv, serial_csv) << "shards=" << shards;
+  }
+}
+
+/// The fingerprint oracle: the quickstart's STREAM capture (its built-in
+/// defaults) must keep this exact MD5 under inline and sharded decode.  A
+/// refactor of the drain/decode path that changes it changed the trace.
+TEST(DecodePool, QuickstartFingerprintIsPinned) {
+  core::NmoConfig config;
+  config.enable = true;
+  config.mode = core::Mode::kAll;
+  config.period = 256;
+  config.auxbufsize_bytes = 256 * 1024;
+  for (const std::uint32_t shards : {1u, 4u}) {
+    sim::EngineConfig engine;
+    engine.threads = 8;
+    engine.machine.hierarchy.cores = 8;
+    engine.machine.cost.monitor_round_interval_cycles = 1'000'000;
+    engine.decode_shards = shards;
+
+    wl::StreamConfig scfg;
+    scfg.array_elems = 1 << 18;
+    scfg.iterations = 3;
+    wl::Stream stream(scfg);
+
+    core::ProfileSession session(config, engine);
+    session.profile(stream, /*with_baseline=*/false);
+    EXPECT_EQ(session.profiler().trace().fingerprint(), "14c91fd6e9f3a16b364e15927083ed1c")
+        << "shards=" << shards;
   }
 }
 

@@ -182,71 +182,6 @@ TEST(TraceEngine, TraceFingerprintIsDeterministic) {
   EXPECT_EQ(fp1.size(), 32u);
 }
 
-TEST(TraceEngine, AsyncDrainTraceByteIdenticalToSync) {
-  // The parity oracle across all four drain configurations: serial sync,
-  // sharded sync, serial async, sharded async must emit byte-identical
-  // canonical traces (same MD5 fingerprint) - the async pipeline changes
-  // host-side execution, never the drain schedule.
-  wl::StreamConfig scfg;
-  scfg.array_elems = 200'000;
-  scfg.iterations = 2;
-  // Small aux buffers + a short period + dense rounds so watermark wakeups
-  // and drain rounds (and therefore epochs) happen inside the timing
-  // window, not just at the finalize drain.
-  core::NmoConfig nmo = sampling_config(256);
-  nmo.auxbufsize_bytes = 256 * 1024;
-  std::string reference;
-  for (const bool async : {false, true}) {
-    for (const std::uint32_t shards : {1u, 4u}) {
-      sim::EngineConfig ecfg = small_engine();
-      ecfg.decode_shards = shards;
-      ecfg.async_drain = async;
-      ecfg.machine.cost.monitor_round_interval_cycles = 1'000'000;
-      core::ProfileSession session(nmo, ecfg);
-      wl::Stream stream(scfg);
-      const auto report = session.profile(stream, false);
-      const std::string fp = session.profiler().trace().fingerprint();
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        EXPECT_EQ(fp, reference) << "async=" << async << " shards=" << shards;
-      }
-      if (async) {
-        EXPECT_GT(report.overlapped_cycles, 0u) << shards;
-        EXPECT_GT(report.retired_epochs, 0u) << shards;
-        EXPECT_GE(report.peak_epoch_lag, 1u) << shards;
-      } else {
-        EXPECT_EQ(report.overlapped_cycles, 0u) << shards;
-      }
-    }
-  }
-  EXPECT_EQ(reference.size(), 32u);
-}
-
-TEST(TraceEngine, AsyncDrainRegionAttributionMatchesSync) {
-  // Region tagging happens mid-run (Stream tags its arrays); the quiesce
-  // hook must make decode-time attribution identical to the sync path.
-  wl::StreamConfig scfg;
-  scfg.array_elems = 40'000;
-  scfg.iterations = 2;
-  auto breakdown_of = [&](bool async) {
-    sim::EngineConfig ecfg = small_engine();
-    ecfg.decode_shards = 4;
-    ecfg.async_drain = async;
-    core::ProfileSession session(sampling_config(256), ecfg);
-    wl::Stream stream(scfg);
-    session.profile(stream, false);
-    return analysis::region_breakdown(session.profiler().trace(), session.profiler().regions());
-  };
-  const auto sync_bd = breakdown_of(false);
-  const auto async_bd = breakdown_of(true);
-  ASSERT_EQ(sync_bd.size(), async_bd.size());
-  for (std::size_t i = 0; i < sync_bd.size(); ++i) {
-    EXPECT_EQ(async_bd[i].name, sync_bd[i].name);
-    EXPECT_EQ(async_bd[i].samples, sync_bd[i].samples) << sync_bd[i].name;
-  }
-}
-
 TEST(TraceEngine, DisabledSamplingCollectsNothing) {
   core::NmoConfig cfg;
   cfg.enable = true;

@@ -1,15 +1,10 @@
-// Monitor timing model: batched drain rounds, rate limiting, drains, and
-// the async (staged producer/consumer) pipeline's parity with them.
+// Monitor timing model: batched drain rounds, rate limiting, drains.
 #include "sim/monitor.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <mutex>
 #include <vector>
 
-#include "sim/drain_service.hpp"
-#include "spe/decode_pool.hpp"
 #include "spe/packet.hpp"
 
 namespace nmo::sim {
@@ -32,15 +27,14 @@ std::unique_ptr<kern::PerfEvent> make_event(std::uint64_t watermark = 64) {
 /// coalesced wakeups overflow it and AUX records are lost, the "can no
 /// longer raise wakeups" situation the re-arm branch recovers from.
 std::unique_ptr<kern::PerfEvent> make_tiny_ring_event(std::size_t ring_bytes,
-                                                      std::uint64_t watermark,
-                                                      CoreId core = 0) {
+                                                      std::uint64_t watermark) {
   kern::PerfEventAttr attr;
   attr.type = kern::kPerfTypeArmSpe;
   attr.config = kern::kSpeConfigLoadsAndStores;
   attr.sample_period = 1000;
   attr.aux_watermark = watermark;
   attr.disabled = false;
-  return kern::open_event(attr, core, 1, ring_bytes, 16 * kPage,
+  return kern::open_event(attr, 0, 1, ring_bytes, 16 * kPage,
                           kern::TimeConv::from_frequency(3e9), nullptr);
 }
 
@@ -184,173 +178,6 @@ TEST(Monitor, FollowUpRoundWhenBufferCannotRaiseWakeups) {
   EXPECT_GE(ev->aux().used(), ev->effective_watermark());
   // ...and every wakeup was still consumed by the round's batched ack.
   EXPECT_EQ(ev->pending_wakeups(), 0u);
-}
-
-/// Drives `rounds` wakeup/round-done pairs, writing `writes` records per
-/// event per round, and returns the cumulative counts after drain_all.
-template <typename WriteFn>
-void drive_rounds(Monitor& mon, const std::vector<kern::PerfEvent*>& events, int rounds,
-                  int writes, WriteFn&& write_rec) {
-  CostModel cost;
-  Cycles now = 0;
-  for (int r = 0; r < rounds; ++r) {
-    for (auto* ev : events) {
-      for (int i = 0; i < writes; ++i) write_rec(*ev, r, i);
-    }
-    const auto done = mon.on_wakeup(now);
-    if (done.has_value()) {
-      auto next = mon.on_round_done(*done);
-      now = *done;
-      while (next.has_value()) {
-        now = *next;
-        next = mon.on_round_done(*next);
-      }
-    }
-    now += cost.monitor_round_interval_cycles;
-  }
-  mon.drain_all();
-}
-
-TEST(Monitor, AsyncSerialMatchesSyncByteForByte) {
-  // The async pipeline (DrainService, no decode pool) must produce the
-  // same records in the same order as the synchronous inline drain, and
-  // the same counts - the serial half of the parity oracle.
-  constexpr int kRounds = 5;
-  constexpr int kWrites = 7;
-  const auto writer = [](kern::PerfEvent& ev, int r, int i) {
-    ev.aux_write(rec(1000 * (r + 1) + i), 0);
-  };
-
-  std::vector<Addr> sync_order;
-  spe::AuxConsumer sync_consumer([&](std::span<const spe::Record> records, CoreId) {
-    for (const auto& record : records) sync_order.push_back(record.vaddr);
-  });
-  auto sync_ev = make_event(/*watermark=*/64);
-  Monitor sync_mon(CostModel{}, &sync_consumer, {sync_ev.get()});
-  drive_rounds(sync_mon, {sync_ev.get()}, kRounds, kWrites, writer);
-
-  std::vector<Addr> async_order;  // written on the service thread only
-  spe::AuxConsumer async_consumer([&](std::span<const spe::Record> records, CoreId) {
-    for (const auto& record : records) async_order.push_back(record.vaddr);
-  });
-  DrainService service(&async_consumer, nullptr);
-  auto async_ev = make_event(/*watermark=*/64);
-  Monitor async_mon(CostModel{}, &async_consumer, {async_ev.get()}, &service);
-  EXPECT_TRUE(async_mon.async());
-  drive_rounds(async_mon, {async_ev.get()}, kRounds, kWrites, writer);
-
-  EXPECT_EQ(async_order, sync_order);  // FIFO epochs: even the order matches
-  EXPECT_EQ(async_consumer.counts().records_ok, sync_consumer.counts().records_ok);
-  EXPECT_EQ(async_consumer.counts().records_skipped, sync_consumer.counts().records_skipped);
-  EXPECT_EQ(async_consumer.counts().aux_records, sync_consumer.counts().aux_records);
-  EXPECT_EQ(async_mon.rounds(), sync_mon.rounds());
-  EXPECT_EQ(async_mon.bytes_drained(), sync_mon.bytes_drained());
-  EXPECT_EQ(service.stats().epochs_submitted, service.stats().epochs_retired);
-}
-
-TEST(Monitor, AsyncPoolKeepsEpochOrderingPerCore) {
-  // Epoch-ordering under async_drain with decode_shards > 1: each shard
-  // must observe one core's records in drain (epoch) order even though
-  // decode of epoch N overlaps the drain of epoch N+1.
-  constexpr std::uint32_t kShards = 4;
-  constexpr int kRounds = 6;
-  constexpr int kWrites = 9;
-
-  std::map<CoreId, std::vector<Addr>> per_core;
-  std::mutex map_mutex;
-  spe::DecodePool pool(kShards,
-                       [&](std::span<const spe::Record> records, CoreId core, std::uint32_t) {
-                         std::lock_guard<std::mutex> lock(map_mutex);
-                         auto& out = per_core[core];
-                         for (const auto& record : records) out.push_back(record.vaddr);
-                       });
-  spe::AuxConsumer consumer(&pool);
-  DrainService service(&consumer, &pool);
-
-  auto ev0 = make_tiny_ring_event(4 * kPage, /*watermark=*/64, /*core=*/0);
-  auto ev1 = make_tiny_ring_event(4 * kPage, /*watermark=*/64, /*core=*/1);
-  Monitor mon(CostModel{}, &consumer, {ev0.get(), ev1.get()}, &service);
-  drive_rounds(mon, {ev0.get(), ev1.get()}, kRounds, kWrites,
-               [](kern::PerfEvent& ev, int r, int i) {
-                 ev.aux_write(rec(100'000 * (ev.core() + 1) + 1000 * (r + 1) + i), 0);
-               });
-
-  ASSERT_EQ(per_core.size(), 2u);
-  for (const auto& [core, order] : per_core) {
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(kRounds * kWrites)) << "core " << core;
-    // vaddrs were written strictly increasing per core; epoch-ordered
-    // decode must preserve that.
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      EXPECT_LT(order[i - 1], order[i]) << "core " << core << " position " << i;
-    }
-  }
-  EXPECT_EQ(consumer.counts().records_ok, static_cast<std::uint64_t>(2 * kRounds * kWrites));
-  EXPECT_EQ(service.stats().epochs_submitted, service.stats().epochs_retired);
-  EXPECT_GT(service.stats().chunks, 0u);
-}
-
-TEST(Monitor, AsyncOverlapTelemetryAccumulates) {
-  CostModel cost;
-  spe::AuxConsumer consumer;
-  DrainService service(&consumer, nullptr);
-  auto ev = make_event(/*watermark=*/64);
-  Monitor mon(cost, &consumer, {ev.get()}, &service);
-  drive_rounds(mon, {ev.get()}, /*rounds=*/4, /*writes=*/5,
-               [](kern::PerfEvent& ev2, int r, int i) {
-                 ev2.aux_write(rec(1000 * (r + 1) + i), 0);
-               });
-  const MonitorOverlap& overlap = mon.overlap();
-  EXPECT_GT(overlap.overlapped_cycles, 0u);
-  EXPECT_GT(overlap.retired_epochs, 0u);
-  EXPECT_GE(overlap.peak_epoch_lag, 1u);
-  // Each data-carrying epoch overlaps at least its own decode + retirement.
-  EXPECT_GE(overlap.overlapped_cycles,
-            overlap.retired_epochs * (cost.drain_wake_cycles + cost.epoch_retire_cycles));
-}
-
-TEST(Monitor, AsyncOverlapModelsBacklogUnderDenseRounds) {
-  // A big epoch followed quickly by small ones outpaces the modeled
-  // consumer thread: the big epoch's decode has not retired when the next
-  // round's chunks land, so epochs pile up (lag > 1) and the model
-  // accumulates wait cycles.  (With evenly sized rounds the consumer can
-  // never lag - the timeline charges the same per-byte cost per round.)
-  CostModel cost;
-  cost.monitor_round_interval_cycles = 1000;  // rounds far denser than decode
-  spe::AuxConsumer consumer;
-  DrainService service(&consumer, nullptr);
-  auto ev = make_event(/*watermark=*/64);
-  Monitor mon(cost, &consumer, {ev.get()}, &service);
-  Cycles now = 0;
-  for (int r = 0; r < 6; ++r) {
-    // Even rounds: 500 records = 32 KiB (~96k decode cycles in the
-    // model); odd rounds: a single record arriving ~55k cycles later.
-    const int writes = (r % 2 == 0) ? 500 : 1;
-    for (int i = 0; i < writes; ++i) ev->aux_write(rec(1000 * (r + 1) + i), 0);
-    const auto done = mon.on_wakeup(now);
-    ASSERT_TRUE(done.has_value());
-    EXPECT_FALSE(mon.on_round_done(*done).has_value());
-    now = *done + cost.monitor_round_interval_cycles;
-  }
-  mon.drain_all();
-  const MonitorOverlap& overlap = mon.overlap();
-  EXPECT_GT(overlap.peak_epoch_lag, 1u);
-  EXPECT_GT(overlap.epoch_wait_cycles, 0u);
-  EXPECT_EQ(overlap.retired_epochs, 6u);
-}
-
-TEST(Monitor, SyncModeReportsNoOverlap) {
-  CostModel cost;
-  spe::AuxConsumer consumer;
-  auto ev = make_event();
-  Monitor mon(cost, &consumer, {ev.get()});
-  ev->aux_write(rec(1), 0);
-  const auto t = mon.on_wakeup(0);
-  mon.on_round_done(*t);
-  mon.drain_all();
-  EXPECT_FALSE(mon.async());
-  EXPECT_EQ(mon.overlap().overlapped_cycles, 0u);
-  EXPECT_EQ(mon.overlap().retired_epochs, 0u);
-  EXPECT_EQ(mon.overlap().peak_epoch_lag, 0u);
 }
 
 TEST(Monitor, DrainAllFlushesEverything) {

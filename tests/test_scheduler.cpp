@@ -656,29 +656,6 @@ TEST_F(SchedulerTest, DefaultedRunOptionsMatchThreadedBaselineByteForByte) {
   EXPECT_EQ(pool_stats->fingerprint, baseline_stats->fingerprint);
 }
 
-TEST_F(SchedulerTest, DeprecatedShimsForwardToTheRunOptionsRunner) {
-  // The pre-RunOptions signatures survive as thin shims; both must behave
-  // exactly like their RunOptions equivalents.
-  const auto jobs = tiny_jobs(2);
-
-  SessionStore config_store(path("config-shim"));
-  SchedulerConfig config;
-  config.max_workers = 2;
-  const auto via_config = run_sessions(config_store, jobs, config);
-  ASSERT_EQ(via_config.results.size(), 2u);
-
-  SessionStore threaded_store(path("threaded-shim"));
-  const auto via_threaded = run_sessions_threaded(threaded_store, jobs);
-  ASSERT_EQ(via_threaded.size(), 2u);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(via_config.results[i].error.empty()) << via_config.results[i].error;
-    ASSERT_TRUE(via_threaded[i].error.empty()) << via_threaded[i].error;
-    EXPECT_EQ(via_config.results[i].fingerprint, via_threaded[i].fingerprint);
-  }
-  EXPECT_EQ(via_config.stats.completed, 2u);
-}
-
 // ------------------------------------------------------ deadlines / EDF --
 
 TEST_F(SchedulerTest, EdfOrdersByDeadlineWithinOnePriorityClass) {

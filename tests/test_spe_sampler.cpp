@@ -176,7 +176,9 @@ TEST(Sampler, RecordCarriesOperationDetails) {
   fx.sampler->flush(1000);
   fx.event->flush_aux(0);
   Record seen;
-  AuxConsumer consumer([&](const Record& r, CoreId) { seen = r; });
+  AuxConsumer consumer([&](std::span<const Record> records, CoreId) {
+    if (!records.empty()) seen = records.back();
+  });
   consumer.drain(*fx.event);
   ASSERT_EQ(consumer.counts().records_ok, 1u);
   EXPECT_EQ(seen.vaddr, 0xdeadbeefu);
@@ -237,8 +239,8 @@ TEST(Sampler, WriteBatchingIsRecordIdentical) {
     fx.sampler->flush(now);
     fx.event->flush_aux(0);
     std::vector<std::pair<Addr, std::uint64_t>> records;
-    AuxConsumer consumer([&](const Record& r, CoreId) {
-      records.emplace_back(r.vaddr, r.timestamp);
+    AuxConsumer consumer([&](std::span<const Record> batch, CoreId) {
+      for (const Record& r : batch) records.emplace_back(r.vaddr, r.timestamp);
     });
     consumer.drain(*fx.event);
     return std::tuple{fx.sampler->stats().written, fx.sampler->stats().write_failed,

@@ -152,39 +152,6 @@ TEST(StatDriver, CacheResidentWorkloadBarelyCollides) {
             0.01 * static_cast<double>(r.selections));
 }
 
-TEST(StatDriver, AsyncDrainTalliesIdenticalToSync) {
-  // The async drain pipeline keeps the drain schedule mode-invariant, so
-  // every StatResult tally must match the synchronous run exactly - for
-  // the serial consumer and for the sharded decode pool.
-  for (const std::uint32_t shards : {1u, 4u}) {
-    SweepConfig cfg = fast_cfg();
-    // Short period + small aux buffers + dense rounds so per-thread sample
-    // volume crosses the aux watermark: wakeups -> drain rounds -> epochs.
-    cfg.period = 512;
-    cfg.aux_bytes = 256 * 1024;
-    cfg.monitor_round_interval_cycles = 5'000'000;
-    cfg.decode_shards = shards;
-    const auto sync_r = run_statistical(tiny_profile(), MachineConfig{}, cfg);
-    cfg.async_drain = true;
-    const auto async_r = run_statistical(tiny_profile(), MachineConfig{}, cfg);
-    EXPECT_EQ(async_r.processed_samples, sync_r.processed_samples) << shards;
-    EXPECT_EQ(async_r.skipped_records, sync_r.skipped_records) << shards;
-    EXPECT_EQ(async_r.written, sync_r.written) << shards;
-    EXPECT_EQ(async_r.dropped_full, sync_r.dropped_full) << shards;
-    EXPECT_EQ(async_r.truncated_flags, sync_r.truncated_flags) << shards;
-    EXPECT_EQ(async_r.collision_flags, sync_r.collision_flags) << shards;
-    EXPECT_EQ(async_r.wakeups, sync_r.wakeups) << shards;
-    EXPECT_EQ(async_r.aux_records, sync_r.aux_records) << shards;
-    EXPECT_EQ(async_r.monitor_services, sync_r.monitor_services) << shards;
-    EXPECT_EQ(async_r.instrumented_ns, sync_r.instrumented_ns) << shards;
-    // Sync mode models no overlap; async must have retired every epoch.
-    EXPECT_EQ(sync_r.overlapped_cycles, 0u) << shards;
-    EXPECT_GT(async_r.overlapped_cycles, 0u) << shards;
-    EXPECT_GT(async_r.retired_epochs, 0u) << shards;
-    EXPECT_GE(async_r.peak_epoch_lag, 1u) << shards;
-  }
-}
-
 // Property sweep: accuracy in [0,1] and monotone-ish sample scaling across
 // periods (linearity of Fig. 7).
 class StatDriverPeriods : public ::testing::TestWithParam<std::uint64_t> {};
