@@ -84,26 +84,5 @@ int main() {
   std::printf("decode backpressure : %llu producer queue-full spins\n",
               static_cast<unsigned long long>(report_par.decode_stalls));
 
-  // 6. Topology-aware placement (sys/topology.hpp): pin each decode shard
-  //    near its producer cores on a modeled 2-socket machine.  Placement
-  //    only moves threads - the trace stays bit-for-bit identical, while
-  //    the remote-drain telemetry shows the cross-socket traffic avoided.
-  //    One shard per core lets near-producer placement keep every drained
-  //    byte on its producer's socket.
-  engine.machine.sockets = 2;
-  engine.decode_shards = 8;
-  engine.decode_placement = nmo::spe::PlacementPolicy::kNearProducer;
-  nmo::wl::Stream stream_pinned(scfg);
-  nmo::core::ProfileSession session_pinned(config, engine);
-  const auto report_pinned = session_pinned.profile(stream_pinned, /*with_baseline=*/false);
-  const std::string pinned_md5 = session_pinned.profiler().trace().fingerprint();
-  std::printf("pinned decode (2 sockets) fingerprint : %s -> %s\n", pinned_md5.c_str(),
-              pinned_md5 == serial_md5 ? "matches serial" : "MISMATCH");
-  std::printf("remote drain avoided: %llu of %llu bytes stayed socket-local "
-              "(%u modeled nodes)\n",
-              static_cast<unsigned long long>(report_pinned.local_drain_bytes),
-              static_cast<unsigned long long>(report_pinned.local_drain_bytes +
-                                              report_pinned.remote_drain_bytes),
-              report_pinned.placement_nodes);
-  return parallel_md5 == serial_md5 && pinned_md5 == serial_md5 ? 0 : 1;
+  return parallel_md5 == serial_md5 ? 0 : 1;
 }

@@ -70,11 +70,6 @@ SessionReport ProfileSession::profile(wl::Workload& workload, bool with_baseline
   report.dropped_full = stats.dropped_full;
   report.wakeups = stats.wakeups;
   report.decode_stalls = stats.decode_stalls;
-  report.local_drain_bytes = stats.local_drain_bytes;
-  report.remote_drain_bytes = stats.remote_drain_bytes;
-  report.remote_drain_cycles = stats.remote_drain_cycles;
-  report.placement_nodes = stats.placement_nodes;
-  report.pinned_shards = stats.pinned_shards;
   report.budget_checkpoints = stats.budget_checkpoints;
   report.budget_truncated = stats.budget_truncated;
   report.processed_samples = profiler_->trace().size();

@@ -58,14 +58,6 @@ struct SessionReport {
   std::uint64_t wakeups = 0;
   std::uint64_t decode_stalls = 0;  ///< Decode-pool backpressure (queue-full spins).
 
-  // Topology placement telemetry (sim::EngineStats; zero on single-socket
-  // machines).  Telemetry only: placement never changes the trace.
-  std::uint64_t local_drain_bytes = 0;   ///< Drained bytes decoded node-locally.
-  std::uint64_t remote_drain_bytes = 0;  ///< Drained bytes modeled cross-socket.
-  std::uint64_t remote_drain_cycles = 0;  ///< Modeled cross-socket penalty.
-  std::uint32_t placement_nodes = 0;     ///< Nodes of the placement topology.
-  std::uint32_t pinned_shards = 0;  ///< Shard workers whose host pin succeeded.
-
   // Scheduler placement (filled by store::run_sessions when the session ran
   // under the bounded worker pool; a direct ProfileSession::profile call
   // leaves the defaults: kDone, no queue wait, worker 0).

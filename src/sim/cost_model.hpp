@@ -54,18 +54,6 @@ struct CostModel {
   /// thread dome.
   Cycles monitor_round_interval_cycles = 300'000'000;  // ~100 ms at 3 GHz
 
-  // -- topology / remote drain (multi-socket model) --------------------------
-  // Placement parameters of the multi-socket machine (MachineConfig::
-  // sockets).  The remote-drain penalty is *telemetry only*: it quantifies
-  // the cross-socket traffic a given DecodePool placement policy would cost
-  // (sim/monitor.hpp MonitorPlacement) but never feeds the drain schedule
-  // or the timeline - that invariant is what keeps pinned and unpinned runs
-  // byte-identical.
-  /// Extra per-byte cost of consuming aux data whose producer core lives
-  /// on a different socket than the decode shard draining it (interconnect
-  /// hop + remote DRAM read; roughly 2x the local per-byte decode cost).
-  double remote_drain_cycles_per_byte = 6.0;
-
   // -- memory system loading --------------------------------------------------
   /// Utilization cap in the loaded-latency model: effective DRAM latency is
   /// base / (1 - min(utilization, max_utilization)).  Under bandwidth

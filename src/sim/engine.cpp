@@ -62,25 +62,14 @@ TraceEngine::TraceEngine(const EngineConfig& config, core::Profiler* profiler)
       samplers_.back()->set_write_batch(config_.write_batch);
       events_.push_back(&ev);
     }
-    // Placement: the policy maps shards onto the machine's synthetic
-    // socket model by default (deterministic); an explicit
-    // EngineConfig::topology (e.g. discover()) overrides it for real
-    // multi-node hosts.  Pinning is advisory; the same topology also
-    // drives the monitor's remote-drain telemetry below.
-    spe::PlacementOptions placement;
-    placement.policy = config_.decode_placement;
-    placement.topology = config_.topology.empty() ? machine_->topology() : config_.topology;
     // Shard traces are merged canonically at finalize.
     const std::uint32_t shards = std::max(1u, config_.decode_shards);
     profiler_->bind_trace_shards(shards);
-    decode_pool_ = std::make_unique<spe::DecodePool>(shards, profiler_->make_shard_sink(), 256,
-                                                     placement);
+    decode_pool_ = std::make_unique<spe::DecodePool>(shards, profiler_->make_shard_sink());
     consumer_ = std::make_unique<spe::AuxConsumer>(decode_pool_.get());
     if (config_.decode_progress) consumer_->set_progress_hook(config_.decode_progress);
     monitor_ = std::make_unique<Monitor>(machine_->cost(), consumer_.get(), events_);
     monitor_->set_budget(config_.budget);
-    placement_topology_ = std::move(placement.topology);
-    monitor_->set_placement_model(&placement_topology_, config_.decode_placement, shards);
     profiler_->set_time_conv(machine_->time_conv());
   }
   if (profiler_ != nullptr) {
@@ -184,7 +173,7 @@ void TraceEngine::maybe_tick(Cycles t) {
 void TraceEngine::replay(std::vector<std::vector<RecordedAccess>>& streams, Cycles start) {
   const CostModel& cost = machine_->cost();
   const auto& lat = config_.machine.hierarchy.latency;
-  const double peak_bpc = config_.machine.total_peak_bytes_per_cycle();
+  const double peak_bpc = config_.machine.hierarchy.dram_bytes_per_cycle;
 
   std::uint64_t kernel_mem = 0;
   for (const auto& s : streams) kernel_mem += s.size();
@@ -357,17 +346,7 @@ EngineStats TraceEngine::stats() const {
     s.filtered += ss.filtered;
   }
   for (const auto* ev : events_) s.wakeups += ev->stats().wakeups;
-  if (decode_pool_ != nullptr) {
-    s.decode_stalls = decode_pool_->counts().producer_stalls;
-    s.pinned_shards = decode_pool_->pinned_shards();
-  }
-  if (monitor_) {
-    const MonitorPlacement& placement = monitor_->placement();
-    s.local_drain_bytes = placement.local_bytes;
-    s.remote_drain_bytes = placement.remote_bytes;
-    s.remote_drain_cycles = placement.remote_drain_cycles;
-    s.placement_nodes = placement_topology_.num_nodes();
-  }
+  if (decode_pool_ != nullptr) s.decode_stalls = decode_pool_->counts().producer_stalls;
   if (config_.budget != nullptr) {
     s.budget_checkpoints = config_.budget->checkpoints();
     s.budget_truncated = budget_stopped_ || config_.budget->tripped();

@@ -51,17 +51,6 @@ struct EngineConfig {
   /// while removing most of the per-record call boundary; 1 restores the
   /// exact per-record path.
   std::uint32_t write_batch = 8;
-  /// Decode-shard placement policy (spe/decode_pool.hpp).  Placement pins
-  /// host worker threads and drives the remote-drain telemetry; it never
-  /// changes the core -> shard mapping, so canonical CSV/MD5 output is
-  /// byte-identical to an unpinned run under every policy.
-  spe::PlacementPolicy decode_placement = spe::PlacementPolicy::kNone;
-  /// Topology the placement policy (and remote-drain model) maps onto.
-  /// Empty (default) uses the machine's synthetic socket model
-  /// (MachineConfig::sockets) - deterministic, host-independent.  Pass
-  /// sys::CpuTopology::discover() to pin by the real host topology on
-  /// multi-node machines.
-  sys::CpuTopology topology;
   /// Decode-progress observer installed on the run's AuxConsumer: called
   /// on the timeline thread with the cumulative decoded-sample tally as it
   /// advances.  The streaming-capture layer (net/block_sender.hpp) feeds
@@ -100,14 +89,6 @@ struct EngineStats {
   // Time-budget telemetry (zero unless EngineConfig::budget was set).
   std::uint64_t budget_checkpoints = 0;  ///< Cooperative poll() visits.
   bool budget_truncated = false;  ///< The run stopped early on a tripped budget.
-  // Topology placement telemetry (sim/monitor.hpp MonitorPlacement; all
-  // zero on single-socket machines).  Telemetry only - the remote-drain
-  // model never feeds the timeline, so placement cannot change the trace.
-  std::uint64_t local_drain_bytes = 0;   ///< Drained bytes decoded node-locally.
-  std::uint64_t remote_drain_bytes = 0;  ///< Drained bytes modeled cross-socket.
-  std::uint64_t remote_drain_cycles = 0;  ///< Modeled cross-socket penalty.
-  std::uint32_t placement_nodes = 0;   ///< Nodes of the placement topology.
-  std::uint32_t pinned_shards = 0;  ///< Shard workers whose host pin succeeded.
 };
 
 class TraceEngine final : public wl::Executor {
@@ -165,9 +146,6 @@ class TraceEngine final : public wl::Executor {
   std::vector<kern::PerfEvent*> events_;
   std::unique_ptr<spe::DecodePool> decode_pool_;  ///< Non-null when sampling.
   std::unique_ptr<spe::AuxConsumer> consumer_;
-  /// Topology the placement model classifies against (the monitor keeps a
-  /// pointer into it for the lifetime of the run).
-  sys::CpuTopology placement_topology_;
   std::unique_ptr<Monitor> monitor_;
   std::optional<Cycles> monitor_due_;
 

@@ -7,7 +7,6 @@
 // for bandwidth estimation).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -19,7 +18,6 @@
 #include "kernel/timeconv.hpp"
 #include "mem/hierarchy.hpp"
 #include "sim/cost_model.hpp"
-#include "sys/topology.hpp"
 
 namespace nmo::sim {
 
@@ -29,25 +27,8 @@ struct MachineConfig {
   std::uint64_t page_size = 64 * 1024;
   kern::ThrottleConfig throttle{};
   CostModel cost{};
-  /// NUMA sockets of the modeled machine.  Cores are split contiguously
-  /// and as evenly as possible across sockets (sys::CpuTopology::
-  /// synthetic); the placement policies and the remote-drain telemetry
-  /// read this.  1 keeps the single-socket model exactly.
-  std::uint32_t sockets = 1;
-  /// Per-socket peak DRAM bandwidth in bytes per cycle for the
-  /// loaded-latency model.  0 (default) keeps the machine-wide
-  /// hierarchy.dram_bytes_per_cycle peak of the single-socket model, so
-  /// existing configs are bit-identical.
-  double socket_peak_bytes_per_cycle = 0.0;
 
   [[nodiscard]] double freq_hz() const { return freq_ghz * 1e9; }
-  /// Machine-wide peak DRAM bandwidth: the sum of socket peaks when a
-  /// per-socket peak is configured, the legacy hierarchy peak otherwise.
-  [[nodiscard]] double total_peak_bytes_per_cycle() const {
-    return socket_peak_bytes_per_cycle > 0.0
-               ? socket_peak_bytes_per_cycle * static_cast<double>(std::max(1u, sockets))
-               : hierarchy.dram_bytes_per_cycle;
-  }
 };
 
 class Machine {
@@ -56,9 +37,7 @@ class Machine {
       : config_(config),
         hierarchy_(std::make_unique<mem::Hierarchy>(config.hierarchy)),
         throttler_(config.throttle),
-        time_conv_(kern::TimeConv::from_frequency(config.freq_hz())),
-        topology_(sys::CpuTopology::synthetic(std::max(1u, config.sockets),
-                                              config.hierarchy.cores)) {}
+        time_conv_(kern::TimeConv::from_frequency(config.freq_hz())) {}
 
   [[nodiscard]] const MachineConfig& config() const { return config_; }
   [[nodiscard]] mem::Hierarchy& hierarchy() { return *hierarchy_; }
@@ -66,10 +45,6 @@ class Machine {
   [[nodiscard]] kern::Throttler& throttler() { return throttler_; }
   [[nodiscard]] const kern::TimeConv& time_conv() const { return time_conv_; }
   [[nodiscard]] const CostModel& cost() const { return config_.cost; }
-  /// The modeled core -> socket map (synthetic, deterministic): what the
-  /// placement policies and the remote-drain telemetry key off in
-  /// simulation, independent of the host machine.
-  [[nodiscard]] const sys::CpuTopology& topology() const { return topology_; }
 
   [[nodiscard]] std::uint64_t ns_of(Cycles cycles) const { return time_conv_.to_ns(cycles); }
   [[nodiscard]] Cycles cycles_of_ns(std::uint64_t ns) const { return time_conv_.to_cycles(ns); }
@@ -110,7 +85,6 @@ class Machine {
   std::unique_ptr<mem::Hierarchy> hierarchy_;
   kern::Throttler throttler_;
   kern::TimeConv time_conv_;
-  sys::CpuTopology topology_;
   std::vector<std::unique_ptr<kern::PerfEvent>> counters_;
   std::vector<std::unique_ptr<kern::PerfEvent>> spe_events_;
 };

@@ -27,49 +27,11 @@ void Monitor::drain_round() {
   wakeups_acked_ += poller_.ack_ready();
   chunks_scratch_.clear();
   std::uint64_t bytes = 0;
-  for (auto* ev : poller_.events()) {
-    const std::uint64_t ev_bytes = consumer_->drain_raw(*ev, chunks_scratch_);
-    note_drain_placement(ev->core(), ev_bytes);
-    bytes += ev_bytes;
-  }
+  for (auto* ev : poller_.events()) bytes += consumer_->drain_raw(*ev, chunks_scratch_);
   bytes_drained_ += bytes;
   // Fork/join: the pool decodes the whole round while the round is still
   // "open" (inline pools decode right here on the timeline thread).
   consumer_->decode_chunks(chunks_scratch_);
-}
-
-
-void Monitor::set_placement_model(const sys::CpuTopology* topology,
-                                  spe::PlacementPolicy policy, std::uint32_t shards) {
-  placement_topology_ = topology;
-  placement_policy_ = policy;
-  placement_shards_ = std::max(1u, shards);
-}
-
-void Monitor::note_drain_placement(CoreId core, std::uint64_t bytes) {
-  if (bytes == 0 || placement_topology_ == nullptr || !placement_topology_->multi_node()) {
-    placement_.local_bytes += bytes;
-    return;
-  }
-  const auto& topo = *placement_topology_;
-  std::uint64_t remote = 0;
-  if (placement_policy_ == spe::PlacementPolicy::kNone) {
-    // Unpinned workers: the OS places them anywhere, so in expectation
-    // (nodes-1)/nodes of every drained byte crosses a socket.  Integer
-    // math keeps the model exactly reproducible.
-    remote = bytes * (topo.num_nodes() - 1) / topo.num_nodes();
-  } else {
-    // Pinned workers sit on a known node; a byte is remote iff its
-    // producer core lives elsewhere.
-    const std::uint32_t shard = core % placement_shards_;
-    const std::uint32_t shard_node =
-        spe::placement_node(placement_policy_, topo, shard, placement_shards_);
-    remote = topo.node_of(core) == shard_node ? 0 : bytes;
-  }
-  placement_.remote_bytes += remote;
-  placement_.local_bytes += bytes - remote;
-  placement_.remote_drain_cycles += static_cast<std::uint64_t>(
-      static_cast<double>(remote) * cost_.remote_drain_cycles_per_byte);
 }
 
 std::optional<Cycles> Monitor::on_round_done(Cycles now_cycles) {

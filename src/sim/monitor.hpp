@@ -40,27 +40,8 @@
 #include "sim/cost_model.hpp"
 #include "spe/aux_consumer.hpp"
 #include "spe/decode_pool.hpp"
-#include "sys/topology.hpp"
 
 namespace nmo::sim {
-
-/// Topology placement telemetry of the drain/decode pipeline, in bytes and
-/// modeled cycles (all zero on single-node machines or without a placement
-/// model attached).  Telemetry only: the remote-drain penalty never feeds
-/// round_cost() or the drain schedule, so every placement policy emits
-/// byte-identical traces - the model quantifies what the policy saves, it
-/// does not perturb what it measures.
-struct MonitorPlacement {
-  /// Aux bytes drained whose decode shard is modeled on the producer
-  /// core's own node.
-  std::uint64_t local_bytes = 0;
-  /// Aux bytes modeled as crossing a socket boundary to reach their
-  /// decode shard.
-  std::uint64_t remote_bytes = 0;
-  /// Modeled cross-socket drain penalty:
-  /// remote_bytes x CostModel::remote_drain_cycles_per_byte.
-  std::uint64_t remote_drain_cycles = 0;
-};
 
 class Monitor {
  public:
@@ -93,15 +74,6 @@ class Monitor {
   [[nodiscard]] std::uint64_t wakeups_acked() const { return wakeups_acked_; }
   [[nodiscard]] bool round_armed() const { return round_armed_; }
   [[nodiscard]] const std::vector<kern::PerfEvent*>& events() const { return poller_.events(); }
-  [[nodiscard]] const MonitorPlacement& placement() const { return placement_; }
-
-  /// Attaches the topology placement model: per-core drained bytes are
-  /// classified local/remote against where `policy` places the consuming
-  /// shard (kNone models OS placement as uniformly random across nodes).
-  /// `topology` must outlive the monitor; nullptr (default) disables the
-  /// model.  Deterministic and telemetry-only.
-  void set_placement_model(const sys::CpuTopology* topology, spe::PlacementPolicy policy,
-                           std::uint32_t shards);
 
   /// Attaches a cooperative preemption token: every drain round polls it
   /// (the round loop is the official per-job budget checkpoint - it runs at
@@ -120,9 +92,6 @@ class Monitor {
   /// chunks' decode and sync.
   void drain_round();
 
-  /// Classifies `bytes` drained from `core` against the placement model.
-  void note_drain_placement(CoreId core, std::uint64_t bytes);
-
   CostModel cost_;
   spe::AuxConsumer* consumer_;
   core::BudgetToken* budget_ = nullptr;
@@ -134,12 +103,6 @@ class Monitor {
   std::uint64_t wakeups_acked_ = 0;
 
   std::vector<spe::RawChunk> chunks_scratch_;  ///< Reused stage-1 output.
-
-  // Placement-model state (set_placement_model).
-  const sys::CpuTopology* placement_topology_ = nullptr;
-  spe::PlacementPolicy placement_policy_ = spe::PlacementPolicy::kNone;
-  std::uint32_t placement_shards_ = 1;
-  MonitorPlacement placement_;
 };
 
 }  // namespace nmo::sim

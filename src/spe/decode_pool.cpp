@@ -6,56 +6,9 @@
 #include <cstring>
 #include <string>
 
+#include "sys/topology.hpp"
+
 namespace nmo::spe {
-
-std::string_view to_string(PlacementPolicy policy) noexcept {
-  switch (policy) {
-    case PlacementPolicy::kNone:
-      return "none";
-    case PlacementPolicy::kPackShards:
-      return "pack";
-    case PlacementPolicy::kNearProducer:
-      return "near-producer";
-  }
-  return "?";
-}
-
-std::optional<PlacementPolicy> parse_placement_policy(std::string_view text) {
-  if (text == "none") return PlacementPolicy::kNone;
-  if (text == "pack") return PlacementPolicy::kPackShards;
-  if (text == "near-producer") return PlacementPolicy::kNearProducer;
-  return std::nullopt;
-}
-
-std::uint32_t placement_node(PlacementPolicy policy, const sys::CpuTopology& topology,
-                             std::uint32_t shard, std::uint32_t shards) {
-  if (policy == PlacementPolicy::kNone || topology.num_nodes() <= 1 || shards == 0) return 0;
-  if (policy == PlacementPolicy::kPackShards) {
-    // Compact fill: shard slots consume node cpu capacity in node order,
-    // wrapping once every cpu holds a shard (shards may outnumber cpus).
-    const std::uint32_t total = std::max<std::uint32_t>(1, topology.num_cpus());
-    std::uint32_t slot = shard % total;
-    for (std::uint32_t n = 0; n < topology.num_nodes(); ++n) {
-      const auto capacity = static_cast<std::uint32_t>(topology.nodes()[n].cpus.size());
-      if (slot < capacity) return n;
-      slot -= capacity;
-    }
-    return 0;
-  }
-  // kNearProducer: the node owning the majority of the cores this shard
-  // consumes (cores c with c % shards == shard); ties to the lowest node.
-  std::vector<std::uint32_t> votes(topology.num_nodes(), 0);
-  for (const auto& node : topology.nodes()) {
-    for (const auto cpu : node.cpus) {
-      if (cpu % shards == shard) ++votes[topology.node_of(cpu)];
-    }
-  }
-  std::uint32_t best = 0;
-  for (std::uint32_t n = 1; n < votes.size(); ++n) {
-    if (votes[n] > votes[best]) best = n;
-  }
-  return best;
-}
 
 DecodedChunk decode_chunk(std::span<const std::byte> raw, std::span<Record> out) {
   DecodedChunk chunk;
@@ -93,17 +46,8 @@ bool SpscBatchQueue::try_pop(RecordBatch& out) {
 }
 
 DecodePool::DecodePool(std::uint32_t shards, BatchSink sink, std::size_t queue_capacity)
-    : DecodePool(shards, std::move(sink), queue_capacity, PlacementOptions{}) {}
-
-DecodePool::DecodePool(std::uint32_t shards, BatchSink sink, std::size_t queue_capacity,
-                       PlacementOptions placement)
-    : sink_(std::move(sink)),
-      placement_(std::move(placement)),
-      shard_count_(std::max<std::uint32_t>(1, shards)) {
+    : sink_(std::move(sink)), shard_count_(std::max<std::uint32_t>(1, shards)) {
   if (shards <= 1) return;  // inline: no workers, no queues
-  if (placement_.policy != PlacementPolicy::kNone && placement_.topology.empty()) {
-    placement_.topology = sys::CpuTopology::discover();
-  }
   shards_.reserve(shards);
   for (std::uint32_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(queue_capacity));
@@ -210,15 +154,6 @@ void DecodePool::reset_counts() {
 }
 
 void DecodePool::worker_loop(Shard& shard, std::uint32_t index) {
-  if (placement_.policy != PlacementPolicy::kNone && placement_.topology.multi_node()) {
-    const std::uint32_t node =
-        placement_node(placement_.policy, placement_.topology, index,
-                       static_cast<std::uint32_t>(shards_.size()));
-    if (sys::pin_current_thread(placement_.topology.nodes()[node].cpus)) {
-      pinned_shards_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   std::array<Record, RecordBatch::kMaxRecords> decoded;
   RecordBatch batch;
   std::uint32_t idle_polls = 0;

@@ -26,54 +26,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/thread_safety.hpp"
 #include "common/types.hpp"
 #include "spe/packet.hpp"
-#include "sys/topology.hpp"
 
 namespace nmo::spe {
-
-/// Where decode-shard workers run relative to the cores whose aux buffers
-/// they consume.  Placement is strictly a host-thread concern: the
-/// core -> shard mapping (shard_of) is identical under every policy, so
-/// canonical CSV/MD5 output is byte-identical to an unpinned run.
-enum class PlacementPolicy : std::uint8_t {
-  kNone = 0,      ///< No pinning; the OS places workers (the default).
-  /// Pack shard workers compactly onto the fewest nodes, filling node 0
-  /// first: trace assembly stays socket-local at the cost of cross-socket
-  /// aux reads from remote producers.
-  kPackShards,
-  /// Pin each shard to the node owning the majority of the cores it
-  /// consumes (cores c with c % shards == shard), so aux bytes are decoded
-  /// where they were produced.
-  kNearProducer,
-};
-
-[[nodiscard]] std::string_view to_string(PlacementPolicy policy) noexcept;
-/// Parses "none" / "pack" / "near-producer" (CLI and bench flags).
-[[nodiscard]] std::optional<PlacementPolicy> parse_placement_policy(std::string_view text);
-
-/// Placement configuration of a DecodePool's shard workers.
-struct PlacementOptions {
-  PlacementPolicy policy = PlacementPolicy::kNone;
-  /// Topology the policy maps shards onto.  Empty with a non-kNone policy
-  /// discovers the host topology at pool construction; tests and the
-  /// simulator inject sys::CpuTopology::synthetic instead.
-  sys::CpuTopology topology;
-};
-
-/// Dense node index shard `shard` of `shards` is placed on under `policy`.
-/// Pure and deterministic - the sim's remote-drain model and the host
-/// pinning path share it, so the modeled and the real placement agree.
-[[nodiscard]] std::uint32_t placement_node(PlacementPolicy policy,
-                                           const sys::CpuTopology& topology,
-                                           std::uint32_t shard, std::uint32_t shards);
 
 /// A fixed-capacity batch of raw 64-byte SPE records from one core: the
 /// unit of transport between the drain loop and a decode shard.
@@ -147,13 +108,9 @@ class DecodePool {
 
   /// `shards` <= 1 builds an inline pool; otherwise spawns `shards` worker
   /// threads, each owning one SPSC queue of `queue_capacity` batches.
+  /// Workers are named nmo-dec<N>.
   explicit DecodePool(std::uint32_t shards, BatchSink sink = {},
                       std::size_t queue_capacity = 256);
-  /// Same, with a shard-placement policy: workers are named nmo-dec<N> and
-  /// (policy != kNone) pinned to their placement_node's cpus.  Placement
-  /// never changes shard_of(), so output stays byte-identical.
-  DecodePool(std::uint32_t shards, BatchSink sink, std::size_t queue_capacity,
-             PlacementOptions placement);
   ~DecodePool();
 
   DecodePool(const DecodePool&) = delete;
@@ -180,15 +137,6 @@ class DecodePool {
   /// Resets the tallies (between bench iterations); call sync() first.
   void reset_counts();
 
-  [[nodiscard]] PlacementPolicy placement_policy() const { return placement_.policy; }
-  [[nodiscard]] const sys::CpuTopology& topology() const { return placement_.topology; }
-  /// Shard workers whose host affinity call succeeded (advisory telemetry;
-  /// 0 under kNone, for an inline pool, or when the host rejects the
-  /// synthetic cpu ids).
-  [[nodiscard]] std::uint32_t pinned_shards() const {
-    return pinned_shards_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
@@ -212,14 +160,12 @@ class DecodePool {
   void worker_loop(Shard& shard, std::uint32_t index);
 
   BatchSink sink_;
-  PlacementOptions placement_;
   std::uint32_t shard_count_ = 1;
   /// Worker shards; empty for an inline pool.
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Inline-pool tallies (producer thread only).
   std::uint64_t inline_ok_ = 0;
   std::uint64_t inline_skipped_ = 0;
-  std::atomic<std::uint32_t> pinned_shards_{0};
   std::atomic<bool> stop_{false};
   /// Only the producer writes this; atomic so counts() can read it from
   /// any thread without a data race.

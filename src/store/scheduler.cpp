@@ -86,12 +86,8 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config)) {
   }
   workers_.reserve(config_.max_workers);
   for (std::uint32_t i = 0; i < config_.max_workers; ++i) {
-    workers_.push_back(sys::named_thread("nmo-wrk" + std::to_string(i), [this, i] {
-      if (config_.pin_workers && config_.topology.multi_node()) {
-        sys::pin_current_thread(config_.topology.nodes()[worker_node(i)].cpus);
-      }
-      worker_loop(i);
-    }));
+    workers_.push_back(
+        sys::named_thread("nmo-wrk" + std::to_string(i), [this, i] { worker_loop(i); }));
   }
 }
 

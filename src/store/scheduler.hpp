@@ -150,10 +150,6 @@ struct SchedulerConfig {
   /// is node-agnostic and scheduling order is exactly the pre-topology
   /// behavior.
   sys::CpuTopology topology;
-  /// Pin each worker thread to its node's cpu set (advisory; only on
-  /// multi-node topologies).  Off by default: the sim-backed tests and
-  /// benches want deterministic scheduling, not host affinity.
-  bool pin_workers = false;
   /// How long a home-node submission may wait for a matching worker before
   /// any worker may take it (the soft hint's bound; never starves).  A
   /// cross-node fallback admission is billed as placement_misses.

@@ -73,6 +73,15 @@
 // decoded samples, not encoded bytes.  Readers reject bad magic, unknown
 // versions, truncated files, overlong varints, out-of-range field values,
 // index mismatches and count/digest mismatches.
+//
+// Which reads check the digest: TraceReader::read_all() and next() to the
+// end of the file (both versions), read_all_parallel() and `nmo-trace
+// verify` hold the samples to the footer's count and MD5; the streaming
+// v2 read also cross-checks the block index and metadata it rebuilt.  A
+// seeked read - seek_block(), and so TraceQuery::run() on a v2 file -
+// validates each block's structure and field ranges only: a corrupted
+// field value that stays in range (one latency byte flipped inside a raw
+// block) decodes without error there.
 #pragma once
 
 #include <cstdint>
@@ -313,10 +322,12 @@ class TraceReader {
   bool next(core::TraceSample& out);
 
   /// Reads and validates the entire file into a SampleTrace (in file
-  /// order).  On error the partial trace is discarded; check ok().
-  /// Legacy entry point: prefer TraceQuery (store/trace_query.hpp), which
-  /// subsumes full reads, parallel reads and filtered reads behind one
-  /// builder - `query(path).run()` is this call.
+  /// order), holding it to the footer's sample count and MD5 digest (and,
+  /// on v2, the block index and metadata).  On error the partial trace is
+  /// discarded; check ok().  This is the digest-checked full read:
+  /// `query(path).run()` returns the same samples from an intact file but
+  /// checks neither the digest nor the metadata on v2 (see the header
+  /// comment).
   [[nodiscard]] core::SampleTrace read_all();
 
   /// Loads the v2 block index from the footer (without touching the sample
@@ -401,10 +412,10 @@ bool decode_v2_block(std::span<const std::byte> block, std::vector<core::TraceSa
 /// (each worker seeks its own reader to its block range), reassembles the
 /// samples in file order and validates the footer count and digest over the
 /// result - the parallel counterpart of TraceReader::read_all().  Falls
-/// back to a streaming read for v1 traces or thread counts <= 1.  nullopt
-/// on error (message in *error when non-null).
-/// Legacy entry point: a thin wrapper over TraceQuery
-/// (`query(path).run(threads)`), kept so existing callers need not change.
+/// back to a streaming read for v1 traces.  nullopt on error (message in
+/// *error when non-null).  Runs `query(path).run(threads)` and then checks
+/// the footer count and digest over the result, which the query alone
+/// does not do on v2.
 std::optional<core::SampleTrace> read_all_parallel(const std::string& path, unsigned threads,
                                                    std::string* error = nullptr);
 

@@ -140,8 +140,11 @@ TraceQuery::Result TraceQuery::run(unsigned threads) const {
     std::size_t count = 0;
     std::uint64_t samples = 0;
   };
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(threads, picked.size()));
+  // One worker per surviving block at most, and never more than the host
+  // runs at once: a caller's thread count is a ceiling, not a spawn order.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::min(threads, hardware), picked.size()));
   const std::uint64_t target = result.stats.samples_scanned / workers + 1;
   std::vector<Slice> slices;
   for (std::size_t k = 0; k < picked.size(); ++k) {

@@ -1,7 +1,7 @@
-// Predicate-pushdown queries over stored traces: the one entry point for
-// reading samples back out of a .nmot file, whether the caller wants all
-// of them (a full decode), a parallel decode, or only the samples matching
-// time-window / address-range / region / level predicates.
+// Predicate-pushdown queries over stored traces: reads samples back out
+// of a .nmot file, whether the caller wants all of them (a full decode), a
+// parallel decode, or only the samples matching time-window /
+// address-range / region / level predicates.
 //
 // The point of the v2 metadata section (store/trace_file.hpp): each block's
 // summary - time and address bounds, per-level sample counts, a region
@@ -19,10 +19,14 @@
 //   auto result = query(path).time_between(t0, t1).region(2).run(threads);
 //   if (result.ok) use(result.samples);   // file order, footer info in result.info
 //
-// TraceReader::read_all / seek_block and read_all_parallel() remain as
-// legacy entry points; read_all_parallel is now a thin wrapper over an
-// unconstrained query (plus the footer count/digest re-validation it has
-// always promised).
+// A query is not digest-checked on v2 files: blocks are decoded by seek,
+// so each is validated structurally (sizes, varints, field ranges) but the
+// footer's sample count and MD5 and the block metadata are not compared
+// against what was decoded.  A corrupted in-range field passes.  The
+// digest-checked reads are TraceReader::read_all(), read_all_parallel()
+// (a query plus a count/digest check over the result) and `nmo-trace
+// verify`; use one of those when the file may be damaged.  v1 queries
+// stream the whole file and are checked like read_all().
 #pragma once
 
 #include <cstdint>
@@ -69,10 +73,11 @@ class TraceQuery {
   };
 
   /// Executes the query with up to `threads` decode workers (contiguous
-  /// runs of surviving blocks stream through one seek each).  Thread
+  /// runs of surviving blocks stream through one seek each), capped at the
+  /// host's hardware threads and the surviving block count.  Thread
   /// counts <= 1 decode inline.  v1 traces stream the whole file with
   /// count and digest validated en route; v2 scans are random-access and
-  /// structurally validated per block.
+  /// structurally validated per block, with no digest check.
   [[nodiscard]] Result run(unsigned threads = 1) const;
 
   /// The exact per-sample filter (public so callers can verify parity

@@ -12,7 +12,6 @@
 
 #if defined(__linux__)
 #include <pthread.h>
-#include <sched.h>
 #include <cstring>
 #endif
 
@@ -28,9 +27,9 @@ std::optional<std::string> read_first_line(const std::string& path) {
   return line;
 }
 
-/// Parses the decimal id file sysfs keeps per cpu (physical_package_id,
-/// cluster_id); nullopt on a missing file or a non-numeric value (some
-/// kernels report -1 for unknown packages).
+/// Parses the decimal physical_package_id file sysfs keeps per cpu;
+/// nullopt on a missing file or a non-numeric value (some kernels report
+/// -1 for unknown packages).
 std::optional<std::uint32_t> read_id_file(const std::string& path) {
   const auto line = read_first_line(path);
   if (!line) return std::nullopt;
@@ -93,7 +92,6 @@ void CpuTopology::rebuild_maps() {
   for (std::uint32_t n = 0; n < nodes_.size(); ++n) {
     for (const auto cpu : nodes_[n].cpus) node_of_[cpu] = n;
   }
-  if (cluster_of_.size() < node_of_.size()) cluster_of_.resize(node_of_.size(), 0);
 }
 
 std::uint32_t CpuTopology::num_cpus() const {
@@ -105,11 +103,6 @@ std::uint32_t CpuTopology::num_cpus() const {
 std::uint32_t CpuTopology::node_of(std::uint32_t cpu) const {
   if (cpu >= node_of_.size() || node_of_[cpu] == kNoNode) return 0;
   return node_of_[cpu];
-}
-
-std::uint32_t CpuTopology::cluster_of(std::uint32_t cpu) const {
-  if (cpu >= cluster_of_.size()) return 0;
-  return cluster_of_[cpu];
 }
 
 CpuTopology CpuTopology::single_node(std::uint32_t cpus) {
@@ -147,7 +140,7 @@ CpuTopology CpuTopology::synthetic(std::uint32_t nodes, std::uint32_t total_cpus
 CpuTopology CpuTopology::discover(const std::string& sysfs_root) noexcept {
   try {
     const std::string cpu_root = sysfs_root + "/devices/system/cpu";
-    // The online list is authoritative for what placement may pin to;
+    // The online list is authoritative for which cpus the topology holds;
     // "present" is the fallback on kernels that hide "online".
     auto list = read_first_line(cpu_root + "/online");
     if (!list) list = read_first_line(cpu_root + "/present");
@@ -156,7 +149,7 @@ CpuTopology CpuTopology::discover(const std::string& sysfs_root) noexcept {
 
     // Preferred source: the kernel's NUMA node directories.  Node cpu
     // lists are intersected with the online set (offline cpus stay out of
-    // every placement mask).
+    // every node).
     std::map<std::uint32_t, std::vector<std::uint32_t>> by_node;
     const std::string node_root = sysfs_root + "/devices/system/node";
     std::error_code ec;
@@ -194,19 +187,12 @@ CpuTopology CpuTopology::discover(const std::string& sysfs_root) noexcept {
     }
     if (topo.nodes_.empty()) return single_node(hardware_cpus());
     topo.source_ = "sysfs";
-    topo.rebuild_maps();
-
     // A cpu the node lists missed still needs a deterministic answer:
-    // node_of() already defaults it to 0.  Clusters are informational.
-    for (const auto cpu : cpus) {
-      if (cpu >= topo.cluster_of_.size()) topo.cluster_of_.resize(cpu + 1, 0);
-      const auto cluster =
-          read_id_file(cpu_root + "/cpu" + std::to_string(cpu) + "/topology/cluster_id");
-      topo.cluster_of_[cpu] = cluster.value_or(topo.node_of(cpu));
-    }
+    // node_of() defaults it to 0.
+    topo.rebuild_maps();
     return topo;
   } catch (...) {
-    // Discovery must never take the pipeline down; run unplaced instead.
+    // Discovery must never take the pipeline down; fall back to one node.
     return single_node(hardware_cpus());
   }
 }
@@ -220,26 +206,6 @@ bool set_current_thread_name(const char* name) {
   return pthread_setname_np(pthread_self(), truncated) == 0;
 #else
   (void)name;
-  return false;
-#endif
-}
-
-bool pin_current_thread(const std::vector<std::uint32_t>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty()) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (const auto cpu : cpus) {
-    if (cpu < CPU_SETSIZE) {
-      CPU_SET(cpu, &set);
-      any = true;
-    }
-  }
-  if (!any) return false;
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpus;
   return false;
 #endif
 }

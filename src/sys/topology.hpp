@@ -1,28 +1,25 @@
-// CPU/NUMA topology discovery and thread-placement primitives.
+// CPU/NUMA topology discovery and thread-naming primitives.
 //
-// At production scale the profiler's own pipeline must respect the memory
-// topology it is measuring: a decode shard pulling aux bytes across a
-// socket boundary burns the very interconnect bandwidth the paper's
-// figures quantify.  CpuTopology maps cores to NUMA nodes (sockets) and
-// clusters the way gator's CpuUtils_Topology walks sysfs + pmus.xml to map
-// cores to PMU/SPE instances:
+// CpuTopology maps cores to NUMA nodes (sockets) the way gator's
+// CpuUtils_Topology walks sysfs to map cores to PMU/SPE instances.  The
+// store scheduler's home-node hint (store/scheduler.hpp) and perfbench's
+// host header read it:
 //
-//  * discover(sysfs_root) parses the host's sysfs - the online cpu list,
-//    /sys/devices/system/node/node<K>/cpulist, and the per-cpu
-//    topology/physical_package_id + cluster_id files.  It never throws:
+//  * discover(sysfs_root) parses the host's sysfs - the online cpu list
+//    and /sys/devices/system/node/node<K>/cpulist, falling back to the
+//    per-cpu topology/physical_package_id files.  It never throws:
 //    missing or garbled files degrade to a single-node topology covering
 //    every cpu (the safe answer on containers that mask sysfs).  The root
 //    is a parameter so tests exercise discovery against fixture trees.
 //  * synthetic(nodes, total_cpus) builds a deterministic topology with
 //    cpus split contiguously and as evenly as possible across nodes - the
-//    injection path that keeps the simulator and every test independent of
-//    the host machine.
+//    injection path that keeps the scheduler tests independent of the host
+//    machine.
 //
 // Node identifiers used by callers are *dense indices* (0..num_nodes()-1
 // in ascending sysfs-id order); TopologyNode::id keeps the original sysfs
-// id for display.  The pinning/naming helpers are Linux-gated and strictly
-// advisory: a failed sched_setaffinity or pthread_setname_np returns false
-// and the pipeline proceeds unpinned, never degraded.
+// id for display.  The naming helper is Linux-gated and strictly advisory:
+// a failed pthread_setname_np returns false and the thread runs unnamed.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +40,7 @@ struct TopologyNode {
 class CpuTopology {
  public:
   /// Empty topology: no nodes.  node_of() answers 0, multi_node() false -
-  /// the "placement off" value every config defaults to.
+  /// the "home-node hint off" value SchedulerConfig defaults to.
   CpuTopology() = default;
 
   /// Discovers the host topology from `sysfs_root` (default "/sys").
@@ -69,11 +66,8 @@ class CpuTopology {
   [[nodiscard]] const std::vector<TopologyNode>& nodes() const { return nodes_; }
 
   /// Dense node index of `cpu`; 0 for a cpu the topology does not cover
-  /// (placement must always have an answer, never an error).
+  /// (callers always get an answer, never an error).
   [[nodiscard]] std::uint32_t node_of(std::uint32_t cpu) const;
-  /// Cluster id of `cpu` (asymmetric big.LITTLE-style clusters); 0 when
-  /// unknown.  Informational: placement keys off nodes, not clusters.
-  [[nodiscard]] std::uint32_t cluster_of(std::uint32_t cpu) const;
 
   /// Where the topology came from: "none" (empty), "sysfs", "fallback"
   /// (discovery degraded) or "synthetic".
@@ -83,7 +77,6 @@ class CpuTopology {
   std::vector<TopologyNode> nodes_;
   /// Flat cpu -> dense node index map (index = cpu id); kNoNode for gaps.
   std::vector<std::uint32_t> node_of_;
-  std::vector<std::uint32_t> cluster_of_;
   std::string source_ = "none";
 
   static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
@@ -98,11 +91,6 @@ class CpuTopology {
 /// Names the calling thread (pthread_setname_np; truncated to the kernel's
 /// 15-character limit).  Returns false off Linux or on failure.
 bool set_current_thread_name(const char* name);
-
-/// Pins the calling thread to `cpus` (sched_setaffinity).  Advisory:
-/// returns false off Linux, on an empty set, or when the kernel rejects
-/// the mask (e.g. a synthetic topology naming cpus this host lacks).
-bool pin_current_thread(const std::vector<std::uint32_t>& cpus);
 
 /// The one sanctioned way to spawn a long-lived thread: every worker gets
 /// a kernel-visible name ("nmo-dec0", "nmo-wrk0", ...) before its body

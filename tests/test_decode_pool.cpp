@@ -10,7 +10,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/session.hpp"
@@ -151,7 +150,6 @@ TEST(DecodePool, InlinePoolDecodesOnTheCallersThread) {
     EXPECT_EQ(pool.counts().records_skipped, 3u);
     pool.sync();
     EXPECT_EQ(pool.counts().producer_stalls, 0u);
-    EXPECT_EQ(pool.pinned_shards(), 0u);
     pool.reset_counts();
     EXPECT_EQ(pool.counts().records_ok, 0u);
   }
@@ -290,100 +288,6 @@ TEST(DecodePool, QuickstartFingerprintIsPinned) {
     EXPECT_EQ(session.profiler().trace().fingerprint(), "14c91fd6e9f3a16b364e15927083ed1c")
         << "shards=" << shards;
   }
-}
-
-/// The acceptance invariant of topology placement: pinning shard workers
-/// (any policy, any socket count) never changes the canonical trace -
-/// placement moves host threads and feeds telemetry, never the core ->
-/// shard mapping or the drain schedule.
-TEST(DecodePool, PlacementPoliciesKeepTracesByteIdentical) {
-  const auto run = [](PlacementPolicy policy, std::uint32_t sockets) {
-    core::NmoConfig config;
-    config.enable = true;
-    config.mode = core::Mode::kAll;
-    config.period = 512;
-
-    sim::EngineConfig engine;
-    engine.threads = 8;
-    engine.machine.hierarchy.cores = 8;
-    engine.machine.sockets = sockets;
-    engine.decode_shards = 4;
-    engine.decode_placement = policy;
-
-    wl::StreamConfig scfg;
-    scfg.array_elems = 1 << 14;
-    scfg.iterations = 2;
-    wl::Stream stream(scfg);
-
-    core::ProfileSession session(config, engine);
-    const auto report = session.profile(stream, /*with_baseline=*/false);
-
-    std::ostringstream csv;
-    session.profiler().trace().write_csv(csv);
-    return std::tuple{session.profiler().trace().fingerprint(), csv.str(), report};
-  };
-
-  const auto [base_md5, base_csv, base_report] = run(PlacementPolicy::kNone, 1);
-  for (const std::uint32_t sockets : {1u, 2u}) {
-    for (const auto policy : {PlacementPolicy::kNone, PlacementPolicy::kPackShards,
-                              PlacementPolicy::kNearProducer}) {
-      const auto [md5, csv, report] = run(policy, sockets);
-      EXPECT_EQ(md5, base_md5)
-          << "policy=" << to_string(policy) << " sockets=" << sockets;
-      EXPECT_EQ(csv, base_csv)
-          << "policy=" << to_string(policy) << " sockets=" << sockets;
-      EXPECT_EQ(report.mem_counted, base_report.mem_counted);
-      EXPECT_EQ(report.processed_samples, base_report.processed_samples);
-    }
-  }
-}
-
-/// Remote-drain telemetry: the 2-socket model bills cross-socket bytes
-/// under kNone and strictly fewer under kNearProducer, while a 1-socket
-/// machine bills none - and none of it changes the trace (test above).
-TEST(DecodePool, PlacementTelemetryReflectsTopology) {
-  const auto run = [](PlacementPolicy policy, std::uint32_t sockets) {
-    core::NmoConfig config;
-    config.enable = true;
-    config.mode = core::Mode::kAll;
-    config.period = 512;
-
-    sim::EngineConfig engine;
-    engine.threads = 8;
-    engine.machine.hierarchy.cores = 8;
-    engine.machine.sockets = sockets;
-    // One shard per core: kNearProducer puts every shard on its producer's
-    // node, so the placed run drains fully node-local.
-    engine.decode_shards = 8;
-    engine.decode_placement = policy;
-
-    wl::StreamConfig scfg;
-    scfg.array_elems = 1 << 14;
-    scfg.iterations = 2;
-    wl::Stream stream(scfg);
-
-    core::ProfileSession session(config, engine);
-    return session.profile(stream, /*with_baseline=*/false);
-  };
-
-  const auto single = run(PlacementPolicy::kNone, 1);
-  EXPECT_EQ(single.placement_nodes, 1u);
-  EXPECT_EQ(single.remote_drain_bytes, 0u);
-  EXPECT_EQ(single.remote_drain_cycles, 0u);
-  EXPECT_GT(single.local_drain_bytes, 0u);
-
-  const auto unplaced = run(PlacementPolicy::kNone, 2);
-  EXPECT_EQ(unplaced.placement_nodes, 2u);
-  EXPECT_GT(unplaced.remote_drain_bytes, 0u);
-  EXPECT_GT(unplaced.remote_drain_cycles, 0u);
-
-  const auto placed = run(PlacementPolicy::kNearProducer, 2);
-  EXPECT_EQ(placed.placement_nodes, 2u);
-  EXPECT_EQ(placed.remote_drain_bytes, 0u);
-  EXPECT_LT(placed.remote_drain_cycles, unplaced.remote_drain_cycles);
-  // Same total drained bytes either way: placement only re-labels them.
-  EXPECT_EQ(placed.local_drain_bytes + placed.remote_drain_bytes,
-            unplaced.local_drain_bytes + unplaced.remote_drain_bytes);
 }
 
 /// The statistical driver reaches identical tallies through the pool.

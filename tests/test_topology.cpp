@@ -1,6 +1,5 @@
 // sys/topology: cpu-list parsing, synthetic shapes, sysfs discovery
-// against fixture trees, and the placement_node mapping used by both the
-// decode-pool pinning path and the sim's remote-drain model.
+// against fixture trees, and thread naming.
 #include <unistd.h>
 
 #include <filesystem>
@@ -11,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "spe/decode_pool.hpp"
 #include "sys/topology.hpp"
 
 #if defined(__linux__)
@@ -20,8 +18,6 @@
 
 namespace {
 
-using nmo::spe::PlacementPolicy;
-using nmo::spe::placement_node;
 using nmo::sys::CpuTopology;
 using nmo::sys::parse_cpu_list;
 
@@ -160,17 +156,11 @@ TEST(Discover, PackageIdFallbackWithoutNodeDirs) {
 }
 
 TEST(Discover, AsymmetricClusters) {
-  // big.LITTLE-style: node ids with a gap, different sizes, cluster ids.
+  // big.LITTLE-style: node ids with a gap and different sizes.
   FixtureDir fix("asym");
   fix.write("devices/system/cpu/online", "0-5\n");
   fix.write("devices/system/node/node0/cpulist", "0-1\n");
   fix.write("devices/system/node/node2/cpulist", "2-5\n");
-  fix.write("devices/system/cpu/cpu0/topology/cluster_id", "0\n");
-  fix.write("devices/system/cpu/cpu1/topology/cluster_id", "0\n");
-  fix.write("devices/system/cpu/cpu2/topology/cluster_id", "1\n");
-  fix.write("devices/system/cpu/cpu3/topology/cluster_id", "1\n");
-  fix.write("devices/system/cpu/cpu4/topology/cluster_id", "2\n");
-  fix.write("devices/system/cpu/cpu5/topology/cluster_id", "2\n");
   const auto topo = CpuTopology::discover(fix.path());
   ASSERT_EQ(topo.num_nodes(), 2u);
   // Dense indices 0/1; the original sysfs id is preserved for display.
@@ -179,9 +169,6 @@ TEST(Discover, AsymmetricClusters) {
   EXPECT_EQ(topo.nodes()[0].cpus.size(), 2u);
   EXPECT_EQ(topo.nodes()[1].cpus.size(), 4u);
   EXPECT_EQ(topo.node_of(4), 1u);
-  EXPECT_EQ(topo.cluster_of(0), 0u);
-  EXPECT_EQ(topo.cluster_of(3), 1u);
-  EXPECT_EQ(topo.cluster_of(5), 2u);
 }
 
 TEST(Discover, OfflineCpusExcluded) {
@@ -217,7 +204,7 @@ TEST(Discover, GarbledFilesFallBackNeverThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// thread naming / pinning helpers
+// thread naming
 
 #if defined(__linux__)
 TEST(Threads, NameRoundTrips) {
@@ -229,77 +216,6 @@ TEST(Threads, NameRoundTrips) {
   EXPECT_STREQ(after, "nmo-topotest");
   nmo::sys::set_current_thread_name(before);
 }
-
-TEST(Threads, PinToOwnAffinityIsAccepted) {
-  // Pinning to the full current topology must succeed (it is a superset
-  // of wherever this thread already runs); an empty cpu set must fail
-  // without throwing.
-  const auto topo = CpuTopology::discover();
-  ASSERT_GE(topo.num_nodes(), 1u);
-  std::vector<std::uint32_t> all;
-  for (const auto& node : topo.nodes())
-    all.insert(all.end(), node.cpus.begin(), node.cpus.end());
-  EXPECT_TRUE(nmo::sys::pin_current_thread(all));
-  EXPECT_FALSE(nmo::sys::pin_current_thread({}));
-}
 #endif
-
-// ---------------------------------------------------------------------------
-// placement_node: the shared shard -> node mapping
-
-TEST(Placement, NoneAlwaysNodeZero) {
-  const auto topo = CpuTopology::synthetic(2, 8);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(placement_node(PlacementPolicy::kNone, topo, s, 4), 0u);
-  }
-}
-
-TEST(Placement, PackShardsFillsByCapacity) {
-  // 2 nodes x 4 cpus, 4 shards: shards 0-3 all fit on node 0.
-  const auto topo = CpuTopology::synthetic(2, 8);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(placement_node(PlacementPolicy::kPackShards, topo, s, 4), 0u);
-  }
-  // 8 shards: the second four spill to node 1.
-  for (std::uint32_t s = 4; s < 8; ++s) {
-    EXPECT_EQ(placement_node(PlacementPolicy::kPackShards, topo, s, 8), 1u);
-  }
-}
-
-TEST(Placement, NearProducerFollowsMajorityNode) {
-  // 2 nodes x 4 cpus, 4 shards: shard s serves cores {s, s+4}; cores 0-3
-  // are node 0, cores 4-7 node 1 - a tie, broken to the lowest node.
-  const auto topo = CpuTopology::synthetic(2, 8);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, topo, s, 4), 0u);
-  }
-  // 2 shards over 8 cores: shard 0 serves {0,2,4,6} (2 votes each node,
-  // tie -> 0), shard 1 serves {1,3,5,7} (same).
-  EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, topo, 0, 2), 0u);
-  EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, topo, 1, 2), 0u);
-  // 8 shards over 8 cores: shard s serves exactly core s, so the upper
-  // shards land on node 1 - the only-producer case must follow its node.
-  EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, topo, 5, 8), 1u);
-  EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, topo, 7, 8), 1u);
-}
-
-TEST(Placement, SingleNodeOrEmptyTopologyIsAlwaysZero) {
-  const auto one = CpuTopology::synthetic(1, 8);
-  EXPECT_EQ(placement_node(PlacementPolicy::kNearProducer, one, 3, 4), 0u);
-  const CpuTopology none;
-  EXPECT_EQ(placement_node(PlacementPolicy::kPackShards, none, 3, 4), 0u);
-}
-
-TEST(Placement, PolicyNamesRoundTrip) {
-  using nmo::spe::parse_placement_policy;
-  using nmo::spe::to_string;
-  for (const auto policy : {PlacementPolicy::kNone, PlacementPolicy::kPackShards,
-                            PlacementPolicy::kNearProducer}) {
-    const auto parsed = parse_placement_policy(to_string(policy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, policy);
-  }
-  EXPECT_FALSE(parse_placement_policy("bogus").has_value());
-}
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,8 +96,10 @@ TEST_F(TraceQueryTest, PushdownMatchesFullScanForEveryPredicateCombination) {
 
   // Every subset of {time, addr, region, level}, each selective enough to
   // prune blocks when present.
+  // The largest thread count is a ceiling the query caps at the host's
+  // hardware threads (and at the 8 surviving blocks at most).
   for (unsigned mask = 0; mask < 16; ++mask) {
-    for (const unsigned threads : {1u, 4u}) {
+    for (const unsigned threads : {1u, 4u, std::numeric_limits<unsigned>::max()}) {
       TraceQuery q(path("t.nmot"));
       if (mask & 1) q.time_between(2'000'000, 2'999'999);        // phase 2 only
       if (mask & 2) q.address_in(0x1400'0000, 0x14ff'ffff);      // phase 4's band

@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <system_error>
@@ -422,6 +423,17 @@ void json_meta_value(nmo::JsonWriter& json, const std::string& value) {
   }
 }
 
+/// A row count read from an untrusted .meta file ("tenants=",
+/// "topology.nodes="), capped at the file's key count: every real row owns
+/// at least one key, so a larger value is garbage and must not drive a loop.
+/// A missing or non-numeric value counts as 0.
+std::uint64_t meta_row_count(const std::map<std::string, std::string>& meta,
+                             const std::string& key) {
+  const auto it = meta.find(key);
+  if (it == meta.end()) return 0;
+  return std::min<std::uint64_t>(std::strtoull(it->second.c_str(), nullptr, 10), meta.size());
+}
+
 /// Collects session directories under a store root, including the
 /// per-socket `node-<k>/` roots a topology-aware store writes into.
 std::vector<std::filesystem::path> list_session_dirs(const std::string& root) {
@@ -478,26 +490,21 @@ int cmd_sessions(const Command&, const Args& args) {
           json_meta_value(json, value);
         }
         json.end_object();
-        const auto nodes_it = meta->find("topology.nodes");
-        if (nodes_it != meta->end()) {
-          const auto node_count = std::strtoull(nodes_it->second.c_str(), nullptr, 10);
-          if (node_count > 1) {
-            json.key(std::string(which) + "_nodes").begin_array();
-            for (std::uint64_t k = 0; k < node_count; ++k) {
-              const std::string key = "node." + std::to_string(k) + ".admitted";
-              json.begin_object();
-              json.key("node").value(k);
-              json.key("admitted");
-              const auto it = meta->find(key);
-              json_meta_value(json, it != meta->end() ? it->second : "0");
-              json.end_object();
-            }
-            json.end_array();
+        const auto node_count = meta_row_count(*meta, "topology.nodes");
+        if (node_count > 1) {
+          json.key(std::string(which) + "_nodes").begin_array();
+          for (std::uint64_t k = 0; k < node_count; ++k) {
+            const std::string key = "node." + std::to_string(k) + ".admitted";
+            json.begin_object();
+            json.key("node").value(k);
+            json.key("admitted");
+            const auto it = meta->find(key);
+            json_meta_value(json, it != meta->end() ? it->second : "0");
+            json.end_object();
           }
+          json.end_array();
         }
-        const auto count_it = meta->find("tenants");
-        if (count_it == meta->end()) continue;
-        const auto tenant_count = std::strtoull(count_it->second.c_str(), nullptr, 10);
+        const auto tenant_count = meta_row_count(*meta, "tenants");
         if (tenant_count == 0) continue;
         json.key(std::string(which) + "_tenants").begin_array();
         for (std::uint64_t i = 0; i < tenant_count; ++i) {
@@ -562,8 +569,7 @@ int cmd_sessions(const Command&, const Args& args) {
                 field("queue_wait_ns_total").c_str(), field("queue_wait_ns_max").c_str());
     // Topology placement ledger: only stores written by a multi-node
     // scheduler carry these keys, so a flat store prints nothing extra.
-    const auto node_count =
-        std::strtoull(field("topology.nodes").c_str(), nullptr, 10);  // "?" parses to 0
+    const auto node_count = meta_row_count(*sched, "topology.nodes");
     if (node_count > 1) {
       std::printf("  placement: nodes=%s local=%s misses=%s", field("topology.nodes").c_str(),
                   field("placement_local").c_str(), field("placement_misses").c_str());
@@ -576,8 +582,7 @@ int cmd_sessions(const Command&, const Args& args) {
     // The per-tenant fairness ledger: who submitted, who got a worker, who
     // was shed or expired, and how long each tenant's jobs waited - the
     // "who got starved and why" view of the weighted-fair scheduler.
-    const auto tenant_count =
-        std::strtoull(field("tenants").c_str(), nullptr, 10);  // "?" parses to 0
+    const auto tenant_count = meta_row_count(*sched, "tenants");
     if (tenant_count > 0) {
       std::printf("\n%-16s %-7s %-10s %-9s %-6s %-8s %-12s %-12s\n", "tenant", "weight",
                   "submitted", "admitted", "shed", "expired", "p50_wait_ms", "p99_wait_ms");
@@ -687,7 +692,13 @@ int cmd_query(const Command& command, const Args& args) {
     query.address_in(lo, hi);
   }
   for (const auto& text : args.all("region")) {
-    query.region(static_cast<std::int32_t>(std::strtoll(text.c_str(), nullptr, 10)));
+    // The reader's bound: int32 region ids, -1 = untagged.  strtoll
+    // saturates out-of-range text, which the check rejects as well.
+    const long long region = std::strtoll(text.c_str(), nullptr, 10);
+    if (region < -1 || region > std::numeric_limits<std::int32_t>::max()) {
+      return command.usage_error(kTool, "--region must be in [-1, 2147483647]");
+    }
+    query.region(static_cast<std::int32_t>(region));
   }
   for (const auto& text : args.all("level")) {
     nmo::MemLevel level{};
